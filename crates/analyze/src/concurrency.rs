@@ -55,15 +55,14 @@ use std::path::Path;
 pub const TOOL_NAME: &str = "concurrency-auditor";
 
 /// The audited modules: `(label, workspace-relative path)`. Five core
-/// serving modules, the decide hot path and its work-stealing deque,
-/// plus the two hand-rolled synchronisation shims.
-pub const AUDIT_TARGETS: [(&str, &str); 9] = [
+/// serving modules and the decide hot path, plus the two hand-rolled
+/// synchronisation shims.
+pub const AUDIT_TARGETS: [(&str, &str); 8] = [
     ("core::cache", "crates/core/src/cache.rs"),
     ("core::decide", "crates/core/src/decide.rs"),
     ("core::ingress", "crates/core/src/ingress.rs"),
     ("core::online", "crates/core/src/online.rs"),
     ("core::sched", "crates/core/src/sched.rs"),
-    ("core::sched::deque", "crates/core/src/sched/deque.rs"),
     ("core::resilient", "crates/core/src/resilient.rs"),
     ("shims::crossbeam", "shims/crossbeam/src/lib.rs"),
     ("shims::parking_lot", "shims/parking_lot/src/lib.rs"),

@@ -12,12 +12,9 @@
 //!   admission,
 //! - `LatencyHistogram::record`'s bucket-then-count publication,
 //! - the `OnlineSelector` drift flip (generation bump published before
-//!   the adaptive flag),
+//!   the adaptive flag), and
 //! - the ingress `submitted == served + shed` accounting identity with
-//!   tenant hold/release, and
-//! - the `StealDeque` owner-pop vs thief-steal protocol (slot written
-//!   Relaxed, published by a Release store on `bottom`; the SeqCst
-//!   claim race on the last item).
+//!   tenant hold/release.
 //!
 //! **How it explores.** CHESS-style stateless search: a model is a
 //! deterministic function of a *decision tape*. Every nondeterministic
@@ -356,22 +353,6 @@ impl WeakMemory {
     pub fn latest(&self, loc: usize) -> u64 {
         self.locs[loc].last().map_or(0, |r| r.value)
     }
-
-    /// A `SeqCst` load under the checker's SC-as-latest approximation:
-    /// observe the latest write in modification order and acquire its
-    /// view (the same read rule RMWs use). Deterministic — SC loads do
-    /// not branch the schedule space — and strictly stronger than
-    /// `Acquire`, which is the sound direction for the faithful models:
-    /// it can only remove weak behaviours, never invent one.
-    pub fn load_latest(&mut self, tid: usize, loc: usize) -> u64 {
-        let latest = self.locs[loc].len() - 1;
-        let rec = self.locs[loc][latest].clone();
-        if let Some(view) = &rec.view {
-            Self::join(&mut self.views[tid], view);
-        }
-        self.views[tid][loc] = latest;
-        rec.value
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -391,19 +372,16 @@ pub enum Model {
     Drift,
     /// Ingress `submitted == served + shed` with tenant hold/release.
     Ingress,
-    /// StealDeque owner pop vs thief steal under weak memory.
-    Deque,
 }
 
 impl Model {
     /// All models, in reporting order.
-    pub const ALL: [Model; 6] = [
+    pub const ALL: [Model; 5] = [
         Model::Channel,
         Model::Cache,
         Model::Histogram,
         Model::Drift,
         Model::Ingress,
-        Model::Deque,
     ];
 
     /// Stable name used in reports.
@@ -414,7 +392,6 @@ impl Model {
             Model::Histogram => "latency-histogram",
             Model::Drift => "drift-publication",
             Model::Ingress => "ingress-accounting",
-            Model::Deque => "steal-deque",
         }
     }
 }
@@ -450,15 +427,11 @@ pub enum Mutation {
     IngressLeakTenantOnShed,
     /// Shed path double-counts, breaking the accounting identity.
     IngressDoubleCountShed,
-    /// `push` publishes `bottom` with a Relaxed store instead of
-    /// Release: a thief can observe the new index without the slot
-    /// write, steal an unwritten (zero) slot, and lose the item.
-    DequeRelaxedBottom,
 }
 
 impl Mutation {
     /// All mutations, in reporting order.
-    pub const ALL: [Mutation; 12] = [
+    pub const ALL: [Mutation; 11] = [
         Mutation::ChannelDropNoNotify,
         Mutation::ChannelDropNotifyOne,
         Mutation::ChannelRecvWaitsWrongCv,
@@ -470,7 +443,6 @@ impl Mutation {
         Mutation::DriftFlipBeforeBump,
         Mutation::IngressLeakTenantOnShed,
         Mutation::IngressDoubleCountShed,
-        Mutation::DequeRelaxedBottom,
     ];
 
     /// The model this mutation breaks.
@@ -483,7 +455,6 @@ impl Mutation {
             Mutation::HistogramRelaxedCount | Mutation::HistogramTornCount => Model::Histogram,
             Mutation::DriftRelaxedFlagStore | Mutation::DriftFlipBeforeBump => Model::Drift,
             Mutation::IngressLeakTenantOnShed | Mutation::IngressDoubleCountShed => Model::Ingress,
-            Mutation::DequeRelaxedBottom => Model::Deque,
         }
     }
 
@@ -501,7 +472,6 @@ impl Mutation {
             Mutation::DriftFlipBeforeBump => "flip-before-bump",
             Mutation::IngressLeakTenantOnShed => "leak-tenant-on-shed",
             Mutation::IngressDoubleCountShed => "double-count-shed",
-            Mutation::DequeRelaxedBottom => "relaxed-bottom-publish",
         }
     }
 }
@@ -516,7 +486,6 @@ pub fn check(model: Model, mutation: Option<Mutation>) -> Result<Exploration, Co
         Model::Histogram => explorer.explore(|t| run_histogram(t, mutation)),
         Model::Drift => explorer.explore(|t| run_drift(t, mutation)),
         Model::Ingress => explorer.explore(|t| run_ingress(t, mutation)),
-        Model::Deque => explorer.explore(|t| run_deque(t, mutation)),
     }
 }
 
@@ -1028,192 +997,6 @@ fn run_ingress(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), Stri
         return Err(format!(
             "tenant slot leak: {} slots still held after drain",
             st.held
-        ));
-    }
-    Ok(())
-}
-
-// ---------------------------- deque model ----------------------------
-
-const Q_TOP: usize = 0;
-const Q_BOTTOM: usize = 1;
-const Q_SLOT0: usize = 2;
-
-/// Ring index → memory location (two slots, mask 1 — matches a
-/// `StealDeque::with_capacity(2)`).
-fn q_slot(index: u64) -> usize {
-    Q_SLOT0 + (index & 1) as usize
-}
-
-/// `top.compare_exchange(expected, expected + 1, SeqCst, Relaxed)`
-/// under the SC-as-latest approximation: the failure path is a Relaxed
-/// observation of the latest write, the success path an `AcqRel` RMW.
-fn q_cas_top(mem: &mut WeakMemory, tid: usize, expected: u64) -> bool {
-    if mem.latest(Q_TOP) != expected {
-        return false;
-    }
-    mem.rmw(tid, Q_TOP, |v| v + 1, Ord::AcqRel);
-    true
-}
-
-/// `read_slot` as the deque implements it: a Relaxed load, with raw
-/// zero (never written) decoding to `None`. The owner reads its own
-/// writes; the thief's visibility comes entirely from the `bottom`
-/// Release/Acquire edge — which is exactly what the seeded mutation
-/// severs.
-fn q_read_slot(mem: &mut WeakMemory, trace: &mut Trace, tid: usize, index: u64) -> Option<u64> {
-    mem.load(trace, tid, q_slot(index), Ord::Relaxed)
-        .checked_sub(1)
-}
-
-/// The `StealDeque` protocol: an owner pushes two items (slot store
-/// Relaxed, `bottom` store Release) then pops twice; one thief makes
-/// two steal attempts, each split at the natural race point (index
-/// loads | slot read + claim CAS). Pops split the same way (claim
-/// store | `top` re-read), so the checker drives the Chase–Lev
-/// last-item race in both directions. The invariant is the one the
-/// scheduler's served-set equality rests on: every pushed item is
-/// claimed by exactly one end, and no claim observes an unwritten
-/// slot.
-fn run_deque(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), String> {
-    let relaxed_bottom = matches!(mutation, Some(Mutation::DequeRelaxedBottom));
-    struct St {
-        mem: WeakMemory,
-        /// Owner: 0/1 = push item 0/1, 2|3 = first pop (claim | race),
-        /// 4|5 = second pop, 6 = done. Thief: 0|1 = first attempt
-        /// (index loads | claim), 2|3 = second attempt, 4 = done.
-        pc: [usize; 2],
-        /// Owner's claimed bottom index between the pop halves.
-        pop_b: u64,
-        /// Thief's loaded `top` between the attempt halves.
-        steal_t: u64,
-        claims: Vec<u64>,
-        /// A steal CAS won on a slot that read as unwritten.
-        lost: bool,
-    }
-    const OWNER: usize = 0;
-    const THIEF: usize = 1;
-    let mut st = St {
-        mem: WeakMemory::new(4, 2),
-        pc: [0; 2],
-        pop_b: 0,
-        steal_t: 0,
-        claims: Vec::new(),
-        lost: false,
-    };
-    let done = [6usize, 4];
-    drive(
-        trace,
-        &mut st,
-        2,
-        |s, t| s.pc[t] == done[t],
-        |_, _| true,
-        |s, t, trace| {
-            if t == OWNER {
-                match s.pc[t] {
-                    0 | 1 => {
-                        // push(item): full-ring check, slot store
-                        // Relaxed, publish via Release on `bottom`.
-                        let item = s.pc[t] as u64;
-                        let b = s.mem.load(trace, OWNER, Q_BOTTOM, Ord::Acquire);
-                        let top = s.mem.load(trace, OWNER, Q_TOP, Ord::Acquire);
-                        if b.wrapping_sub(top) > 1 {
-                            return Err(format!(
-                                "push rejected with {} items in a ring of 2",
-                                b - top
-                            ));
-                        }
-                        s.mem.store(OWNER, q_slot(b), item + 1, Ord::Relaxed);
-                        let ord = if relaxed_bottom {
-                            Ord::Relaxed
-                        } else {
-                            Ord::Release
-                        };
-                        s.mem.store(OWNER, Q_BOTTOM, b + 1, ord);
-                        s.pc[t] += 1;
-                    }
-                    2 | 4 => {
-                        // pop, first half: claim slot b-1 with a SeqCst
-                        // store on `bottom` (or bail out on empty).
-                        let b = s.mem.load(trace, OWNER, Q_BOTTOM, Ord::Acquire);
-                        let top = s.mem.load_latest(OWNER, Q_TOP);
-                        if b <= top {
-                            s.pc[t] += 2;
-                        } else {
-                            s.pop_b = b - 1;
-                            s.mem.store(OWNER, Q_BOTTOM, s.pop_b, Ord::Release);
-                            s.pc[t] += 1;
-                        }
-                    }
-                    _ => {
-                        // pop, second half: re-read `top` SeqCst and
-                        // resolve the last-item race.
-                        let b = s.pop_b;
-                        let top = s.mem.load_latest(OWNER, Q_TOP);
-                        let claim = if top < b {
-                            q_read_slot(&mut s.mem, trace, OWNER, b)
-                        } else if top == b {
-                            let won = q_cas_top(&mut s.mem, OWNER, top);
-                            s.mem.store(OWNER, Q_BOTTOM, b + 1, Ord::Release);
-                            if won {
-                                q_read_slot(&mut s.mem, trace, OWNER, b)
-                            } else {
-                                None
-                            }
-                        } else {
-                            s.mem.store(OWNER, Q_BOTTOM, b + 1, Ord::Release);
-                            None
-                        };
-                        if let Some(v) = claim {
-                            s.claims.push(v);
-                        }
-                        s.pc[t] += 1;
-                    }
-                }
-            } else {
-                match s.pc[t] {
-                    0 | 2 => {
-                        // steal, first half: SeqCst index loads; empty
-                        // forfeits the attempt.
-                        let top = s.mem.load_latest(THIEF, Q_TOP);
-                        let b = s.mem.load_latest(THIEF, Q_BOTTOM);
-                        if top >= b {
-                            s.pc[t] += 2;
-                        } else {
-                            s.steal_t = top;
-                            s.pc[t] += 1;
-                        }
-                    }
-                    _ => {
-                        // steal, second half: read the slot *before*
-                        // the claim CAS; a lost CAS forfeits (bounded
-                        // stand-in for the retry loop — the owner
-                        // drains whatever the thief leaves).
-                        let item = q_read_slot(&mut s.mem, trace, THIEF, s.steal_t);
-                        if q_cas_top(&mut s.mem, THIEF, s.steal_t) {
-                            match item {
-                                Some(v) => s.claims.push(v),
-                                None => s.lost = true,
-                            }
-                        }
-                        s.pc[t] += 1;
-                    }
-                }
-            }
-            Ok(())
-        },
-    )?;
-    if st.lost {
-        return Err(
-            "steal claimed an unwritten slot: `top` advanced past an item no thread holds"
-                .to_string(),
-        );
-    }
-    let mut claims = st.claims;
-    claims.sort_unstable();
-    if claims != vec![0, 1] {
-        return Err(format!(
-            "items claimed {claims:?}, pushed [0, 1]: the deque lost or duplicated work"
         ));
     }
     Ok(())

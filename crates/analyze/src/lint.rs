@@ -53,7 +53,7 @@ use std::path::Path;
 /// door takes down every device's traffic at once; the snapshot
 /// restore path is included because a corrupted snapshot must degrade
 /// typed, never panic a restarting server.
-pub const HOT_PATH_FILES: [&str; 15] = [
+pub const HOT_PATH_FILES: [&str; 14] = [
     "crates/core/src/cache.rs",
     "crates/core/src/decide.rs",
     "crates/core/src/ingress.rs",
@@ -61,7 +61,6 @@ pub const HOT_PATH_FILES: [&str; 15] = [
     "crates/core/src/persist.rs",
     "crates/core/src/resilient.rs",
     "crates/core/src/sched.rs",
-    "crates/core/src/sched/deque.rs",
     "crates/core/src/select.rs",
     "crates/mlkit/src/forest.rs",
     "crates/mlkit/src/kmeans.rs",
@@ -76,13 +75,7 @@ pub const HOT_PATH_FILES: [&str; 15] = [
 /// additionally carry the `no-alloc` rule (ROADMAP item 4): a malloc on
 /// this path costs more than the decision itself. Matched by file name
 /// so both workspace-relative and absolute invocations agree.
-pub const DECIDE_PATH_FILES: [&str; 5] = [
-    "cache.rs",
-    "decide.rs",
-    "deque.rs",
-    "online.rs",
-    "select.rs",
-];
+pub const DECIDE_PATH_FILES: [&str; 4] = ["cache.rs", "decide.rs", "online.rs", "select.rs"];
 
 /// Files carrying *only* the `no-partial-cmp` rule: training-time code
 /// whose NaN-ordering panics were swept in the hdbscan/svm/tree/eigen

@@ -1,7 +1,6 @@
-//! Micro-benchmarks of the sub-20 ns decision hot path and the
-//! work-stealing shard deque.
+//! Micro-benchmarks of the sub-20 ns decision hot path.
 //!
-//! Three families of numbers land in `bench_results/micro_decide.json`:
+//! Two families of numbers land in `bench_results/micro_decide.json`:
 //!
 //! * **Wall-clock picks** — one warm `decide` through the open-addressed
 //!   L1 shape table (hard-asserted `< 20 ns`), the amortised per-pick
@@ -14,11 +13,9 @@
 //!   so the gate holds them at the tight 15 % band; a "small" wall-clock
 //!   regression that hides inside the 300 % timing band still moves
 //!   these counters and fails the gate.
-//! * **Steal throughput** — items per second claimed off a
-//!   [`StealDeque`] by an owner and three thieves draining it together.
 
 use autokernel_bench::{paper_dataset, save_result};
-use autokernel_core::{OnlineConfig, PipelineConfig, StealDeque, TuningPipeline};
+use autokernel_core::{OnlineConfig, PipelineConfig, TuningPipeline};
 use autokernel_gemm::GemmShape;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -49,8 +46,6 @@ struct MicroDecideResult {
     batch_pick_ops_per_kilopick: f64,
     /// Key words examined by the L1 probe for the probe shape.
     probe_length: u64,
-    /// Million deque items claimed per second by 1 owner + 3 thieves.
-    steal_throughput_mops: f64,
     batch_len: usize,
     single_pick_budget_ns: f64,
     batch_pick_budget_ns: f64,
@@ -144,22 +139,6 @@ fn bench_decide(c: &mut Criterion) {
     let batch_pick_ops_per_kilopick =
         (batch_probe_ops + cost::BATCH_FLUSH_RMWS) as f64 / BATCH_LEN as f64 * 1000.0;
 
-    // Steal throughput: one owner popping, three thieves stealing, over
-    // a deque sized like a large wave.
-    const ITEMS: u64 = 1 << 16;
-    let deque = StealDeque::with_capacity(ITEMS as usize);
-    for i in 0..ITEMS {
-        assert!(deque.push(i));
-    }
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..3 {
-            scope.spawn(|| while deque.steal().is_some() {});
-        }
-        while deque.pop().is_some() {}
-    });
-    let steal_throughput_mops = ITEMS as f64 / start.elapsed().as_secs_f64() / 1e6;
-
     let result = MicroDecideResult {
         single_pick_ns,
         batch_pick_ns,
@@ -167,7 +146,6 @@ fn bench_decide(c: &mut Criterion) {
         single_pick_ops,
         batch_pick_ops_per_kilopick,
         probe_length,
-        steal_throughput_mops,
         batch_len: BATCH_LEN,
         single_pick_budget_ns: SINGLE_PICK_BUDGET_NS,
         batch_pick_budget_ns: BATCH_PICK_BUDGET_NS,
@@ -176,7 +154,7 @@ fn bench_decide(c: &mut Criterion) {
         "decide: single {single_pick_ns:.1} ns (budget {SINGLE_PICK_BUDGET_NS}), \
          batch {batch_pick_ns:.2} ns/pick (budget {BATCH_PICK_BUDGET_NS}), \
          legacy select {legacy_select_ns:.1} ns, probe length {probe_length}, \
-         {single_pick_ops:.0} ops/pick, steal {steal_throughput_mops:.1} Mops/s"
+         {single_pick_ops:.0} ops/pick"
     );
     save_result("micro_decide", &result);
 }

@@ -171,7 +171,6 @@ fn bench_ingress(c: &mut Criterion) {
             queue_capacity: 64,
             batch_window: 32,
             seed: 11,
-            parallel: true,
             ..SchedConfig::default()
         },
     )

@@ -239,12 +239,6 @@ const MANIFEST: &[(&str, &str, Direction, f64)] = &[
         Direction::LowerBetter,
         DEFAULT_TOLERANCE,
     ),
-    (
-        "micro_decide",
-        "steal_throughput_mops",
-        Direction::HigherBetter,
-        TIMING_TOLERANCE,
-    ),
 ];
 
 fn load(dir: &Path, stem: &str) -> Result<Value, String> {

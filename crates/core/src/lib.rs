@@ -76,7 +76,6 @@ pub use regression::{RegressionParams, RegressionSelector};
 pub use resilient::{
     BreakerState, CircuitBreaker, FailureRecord, LaunchReport, ResilientExecutor, ResilientPolicy,
 };
-pub use sched::deque::StealDeque;
 pub use sched::{
     Assignment, DeviceReport, DeviceShard, GemmRequest, RoutingPolicy, SchedConfig, SchedReport,
     SchedTelemetry, ShardedScheduler,

@@ -33,29 +33,32 @@
 //!    device with the most free capacity; when every queue is full, the
 //!    remainder of the stream waits for the next wave (backpressure).
 //! 4. **Failure drain** — a shard turns unhealthy when its fallback
-//!    chain is fully quarantined (every ranked config's breaker open),
-//!    when it melts down mid-wave ([`SchedConfig::meltdown_threshold`]
-//!    consecutive reference-GEMM degradations), or — if
-//!    [`SchedConfig::fail_on_drift`] is set — when its online layer's
-//!    drift detector trips. Its unexecuted batches are *rebalanced* to
-//!    the survivors on the next wave. The last live shard is never
+//!    chain is fully quarantined (every ranked config's breaker open)
+//!    or when it melts down mid-wave
+//!    ([`SchedConfig::meltdown_threshold`] consecutive reference-GEMM
+//!    degradations). Its unexecuted batches are *rebalanced* to the
+//!    survivors on the next wave. The last live shard is never
 //!    drained, and the resilient executor's terminal reference rung
 //!    cannot fail, so the scheduler drops nothing: every request
 //!    completes.
 //!
-//! Determinism: waves are planned on one thread from device clocks
-//! that only move between waves, and each device's launch sequence is
-//! executed in batch order by a single worker. Routing therefore
-//! depends only on the request stream, the seed and the shard
-//! configuration — never on how the worker threads interleave — which
-//! `tests/sharded_scheduler.rs` pins with a property test comparing
-//! parallel and sequential execution of random streams.
-
-pub mod deque;
+//! Execution: every wave runs on the calling thread (the ingress
+//! dispatcher, when serving behind [`crate::Ingress`]), one shard after
+//! another in shard order, each draining its queue in batch order. The
+//! kernels themselves are already parallel inside, and wave planning
+//! fixes routing and simulated time before any launch, so a host
+//! thread per shard could buy only host wall time, and spawning it cost
+//! more than it saved.
+//!
+//! Determinism: waves are planned from device clocks that only move
+//! between waves, and each device's launch sequence is a pure function
+//! of the batches it was handed. Routing, telemetry and the simulated
+//! makespan therefore depend only on the request stream, the seed and
+//! the shard configuration, which `tests/sharded_scheduler.rs` pins
+//! with a property test replaying random streams on fresh fleets.
 
 use crate::online::OnlineSelector;
 use crate::resilient::{LaunchReport, ResilientExecutor};
-use crate::sched::deque::StealDeque;
 use crate::{CoreError, Result};
 use autokernel_analyze::SpaceAnalysis;
 use autokernel_gemm::GemmShape;
@@ -95,40 +98,26 @@ pub struct SchedConfig {
     /// Seed offsetting the round-robin cursor, so distinct schedulers
     /// spread load differently but each replays deterministically.
     pub seed: u64,
-    /// Execute each wave's per-device queues on worker threads. Routing
-    /// is identical either way; `false` is for debugging and for the
-    /// determinism property test.
+    /// Ignored: every wave runs on the calling thread (see the module
+    /// docs). Kept only so existing struct literals still compile; it
+    /// will be removed.
+    #[deprecated(note = "ignored: every wave runs on the calling thread")]
     pub parallel: bool,
     /// Consecutive reference-GEMM degradations that mark a device
     /// melted down mid-wave (≥ 1).
     pub meltdown_threshold: u32,
-    /// Treat an online layer's drift trip as device failure and drain
-    /// the shard. Off by default: drift usually means the bandit is
-    /// *re-learning* the device, not that the device is gone.
-    pub fail_on_drift: bool,
-    /// Execute waves with work stealing: each shard worker drains its
-    /// own queue and then steals still-pending batches from busy
-    /// siblings through a Chase–Lev deque ([`deque::StealDeque`]),
-    /// instead of idling at the wave barrier. Routing, admission and
-    /// scheduling telemetry are identical either way — only which
-    /// device *executes* a planned batch (and therefore the makespan)
-    /// may differ, which `tests/sharded_scheduler.rs` pins with a
-    /// property test. Requires `parallel`; off by default so replay
-    /// stays strictly deterministic.
-    pub stealing: bool,
 }
 
 impl Default for SchedConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         SchedConfig {
             policy: RoutingPolicy::LeastLoaded,
             queue_capacity: 4,
             batch_window: 8,
             seed: 0,
-            parallel: true,
+            parallel: false,
             meltdown_threshold: 3,
-            fail_on_drift: false,
-            stealing: false,
         }
     }
 }
@@ -351,14 +340,14 @@ struct Batch {
     requests: Vec<usize>,
 }
 
-/// What one device worker hands back after a wave.
+/// What one device's queue drain hands back after a wave.
 struct WaveOutcome {
     served: u64,
     batches_done: u64,
     flops_done: f64,
     reference_fallbacks: u64,
     melted: bool,
-    /// Batches the worker abandoned after melting down.
+    /// Batches the device abandoned after melting down.
     leftovers: Vec<Batch>,
     /// Trace items in launch order: absorbed-failure events, then the
     /// completing event with its decision.
@@ -613,6 +602,7 @@ impl ShardedScheduler {
                 )
             })
             .collect();
+        let collect_trace = trace.is_some();
         let mut pending = self.coalesce(requests);
         let mut assignments: Vec<Assignment> = Vec::new();
         let mut waves = 0usize;
@@ -633,9 +623,9 @@ impl ShardedScheduler {
                 });
             }
 
-            // Plan phase (single-threaded): route batches onto bounded
-            // per-device queues. Device clocks are quiescent here, so
-            // the plan is a pure function of stream, seed and state.
+            // Plan phase: route batches onto bounded per-device queues.
+            // Device clocks are quiescent here, so the plan is a pure
+            // function of stream, seed and state.
             let mut wave_queues: Vec<Vec<Batch>> = self.shards.iter().map(|_| Vec::new()).collect();
             for state in &mut self.shards {
                 state.planned_s = 0.0;
@@ -667,12 +657,12 @@ impl ShardedScheduler {
                 }
             }
 
-            // Execute phase: one worker per device with work, each
-            // draining its own queue in order.
-            let outcomes = self.execute_wave(requests, &wave_queues)?;
+            // Execute phase: each device drains its own queue in order,
+            // on this thread.
+            let outcomes = self.execute_wave(requests, &wave_queues, collect_trace)?;
 
-            // Merge phase (single-threaded, shard order): counters,
-            // traces, health transitions, rebalancing.
+            // Merge phase (shard order): counters, traces, health
+            // transitions, rebalancing.
             let mut rebalanced: Vec<Batch> = Vec::new();
             for (index, (state, outcome)) in self.shards.iter_mut().zip(outcomes).enumerate() {
                 state.served += outcome.served;
@@ -710,8 +700,7 @@ impl ShardedScheduler {
             }
 
             // Post-wave health: a shard whose entire fallback chain is
-            // quarantined (or whose drift detector tripped, when that
-            // is configured as fatal) stops receiving traffic.
+            // quarantined stops receiving traffic.
             for state in &mut self.shards {
                 if !state.alive {
                     continue;
@@ -720,25 +709,14 @@ impl ShardedScheduler {
                 if !ranking.is_empty() && state.shard.executor.quarantined().len() >= ranking.len()
                 {
                     state.alive = false;
-                }
-                if self.config.fail_on_drift
-                    && state
-                        .shard
-                        .online
-                        .as_ref()
-                        .is_some_and(|online| online.is_adaptive())
-                {
-                    state.alive = false;
-                }
-                if !state.alive {
                     self.condemn_counter += 1;
                     state.condemned_seq = self.condemn_counter;
                 }
             }
             // Never drain the whole fleet: if nobody survived, the most
             // recently condemned shard (highest condemnation stamp —
-            // deterministic, since condemnations happen on the
-            // single-threaded merge path) is revived and the stream
+            // deterministic, since condemnations happen in shard order
+            // on the merge path) is revived and the stream
             // degrades onto its reference-kernel rung, which cannot
             // fail. The report carries `fleet_degraded` as the typed
             // signal.
@@ -905,151 +883,40 @@ impl ShardedScheduler {
         n * (batch.shape.flops() / rate.max(1.0) + state.shard.launch_overhead_s)
     }
 
-    /// Run one wave's per-device queues, in parallel or sequentially —
-    /// the outcomes are identical because every cross-device
-    /// interaction happens at the wave boundary.
+    /// Run one wave's per-device queues on the calling thread, in shard
+    /// order. Every cross-device interaction happens at the wave
+    /// boundary, so the order does not change any device's outcome.
     fn execute_wave(
         &self,
         requests: &[GemmRequest],
         wave_queues: &[Vec<Batch>],
-    ) -> Result<Vec<WaveOutcome>> {
-        let meltdown = self.config.meltdown_threshold.max(1);
-        let collect_trace = true;
-        if self.config.stealing && self.config.parallel {
-            return self.execute_wave_stealing(requests, wave_queues, meltdown, collect_trace);
-        }
-        if self.config.parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(wave_queues)
-                    .map(|(state, batches)| {
-                        scope.spawn(move || {
-                            run_worker(&state.shard, batches, requests, meltdown, collect_trace)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.join().map_err(|_| {
-                            CoreError::Dataset("scheduler worker thread died".into())
-                        })?
-                    })
-                    .collect()
-            })
-        } else {
-            self.shards
-                .iter()
-                .zip(wave_queues)
-                .map(|(state, batches)| {
-                    run_worker(&state.shard, batches, requests, meltdown, collect_trace)
-                })
-                .collect()
-        }
-    }
-
-    /// Run one wave with work stealing: the wave's batches live in a
-    /// flat arena, each shard gets a [`StealDeque`] of its planned
-    /// arena indices (pushed in reverse, so the owner's LIFO pop drains
-    /// its queue in planning order while thieves take its tail), and a
-    /// worker that empties its own deque steals from its siblings in a
-    /// deterministic victim order instead of idling at the barrier.
-    /// Stolen batches execute on the *thief's* device stack and are
-    /// attributed to it. A worker stops at meltdown; whatever nobody
-    /// ended up executing is drained single-threaded after the scope
-    /// and re-routed as leftovers — the same zero-drop invariant as the
-    /// deterministic path.
-    fn execute_wave_stealing(
-        &self,
-        requests: &[GemmRequest],
-        wave_queues: &[Vec<Batch>],
-        meltdown: u32,
         collect_trace: bool,
     ) -> Result<Vec<WaveOutcome>> {
-        let arena: Vec<&Batch> = wave_queues.iter().flatten().collect();
-        let mut next = 0usize;
-        let deques: Vec<StealDeque> = wave_queues
+        let meltdown = self.config.meltdown_threshold.max(1);
+        self.shards
             .iter()
-            .map(|queue| {
-                let deque = StealDeque::with_capacity(queue.len().max(1));
-                let start = next;
-                next += queue.len();
-                for index in (start..next).rev() {
-                    // Sized to the queue: a failed push is impossible,
-                    // and ignoring it would surface as a leftover in
-                    // the post-scope drain, not a lost request.
-                    let _ = deque.push(index as u64);
-                }
-                deque
+            .zip(wave_queues)
+            .map(|(state, batches)| {
+                drain_queue(
+                    &state.shard.executor,
+                    batches,
+                    requests,
+                    meltdown,
+                    collect_trace,
+                )
             })
-            .collect();
-        let shard_count = self.shards.len();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(index, state)| {
-                    let deques = &deques;
-                    let arena = &arena;
-                    scope.spawn(move || -> Result<WaveOutcome> {
-                        let mut outcome = WaveOutcome::empty();
-                        let mut consecutive_reference = 0u32;
-                        while !outcome.melted {
-                            let item = deques.get(index).and_then(StealDeque::pop).or_else(|| {
-                                (1..shard_count).find_map(|offset| {
-                                    deques
-                                        .get((index + offset) % shard_count)
-                                        .and_then(StealDeque::steal)
-                                })
-                            });
-                            let Some(item) = item else { break };
-                            let Some(batch) = arena.get(item as usize) else {
-                                break;
-                            };
-                            run_batch(
-                                &state.shard,
-                                batch,
-                                requests,
-                                meltdown,
-                                collect_trace,
-                                &mut consecutive_reference,
-                                &mut outcome,
-                            )?;
-                        }
-                        Ok(outcome)
-                    })
-                })
-                .collect();
-            let mut outcomes = handles
-                .into_iter()
-                .map(|handle| {
-                    handle
-                        .join()
-                        .map_err(|_| CoreError::Dataset("scheduler worker thread died".into()))?
-                })
-                .collect::<Result<Vec<WaveOutcome>>>()?;
-            // Anything still queued here had every eligible executor
-            // melt down mid-wave: hand it back for re-routing.
-            for (deque, outcome) in deques.iter().zip(&mut outcomes) {
-                while let Some(item) = deque.pop() {
-                    if let Some(batch) = arena.get(item as usize) {
-                        outcome.leftovers.push((*batch).clone());
-                    }
-                }
-            }
-            Ok(outcomes)
-        })
+            .collect()
     }
 }
 
-/// Drain one device's wave queue. Single-threaded per device: the
-/// shard's submission order (and therefore its simulated timeline and
-/// fault sequence) is a pure function of the batches it was handed.
-fn run_worker(
-    shard: &DeviceShard,
+/// Drain one device's wave queue in batch order: the shard's submission
+/// order (and therefore its simulated timeline and fault sequence) is a
+/// pure function of the batches it was handed. On meltdown the device
+/// stops launching *now*, not at the next batch boundary: the current
+/// batch's unserved tail and every later batch become
+/// `outcome.leftovers`.
+fn drain_queue(
+    executor: &ResilientExecutor,
     batches: &[Batch],
     requests: &[GemmRequest],
     meltdown_threshold: u32,
@@ -1058,78 +925,47 @@ fn run_worker(
     let mut outcome = WaveOutcome::empty();
     let mut consecutive_reference = 0u32;
     for (position, batch) in batches.iter().enumerate() {
-        if outcome.melted {
-            outcome
-                .leftovers
-                .extend(batches.iter().skip(position).cloned());
-            break;
+        for (offset, &request_index) in batch.requests.iter().enumerate() {
+            let request = requests.get(request_index).ok_or_else(|| {
+                CoreError::Dataset(format!("request index {request_index} out of range"))
+            })?;
+            let report = executor.launch(request.shape, &request.a, &request.b, &request.c)?;
+            outcome.served += 1;
+            outcome.flops_done += request.shape.flops();
+            if is_reference(&report) {
+                outcome.reference_fallbacks += 1;
+                consecutive_reference += 1;
+            } else {
+                consecutive_reference = 0;
+            }
+            if collect_trace {
+                for failure in report.failures {
+                    if let Some(event) = failure.event {
+                        outcome.trace.push((event, None));
+                    }
+                }
+                outcome.trace.push((report.event, Some(report.decision)));
+            }
+            if consecutive_reference >= meltdown_threshold {
+                outcome.melted = true;
+                let remaining: Vec<usize> =
+                    batch.requests.iter().skip(offset + 1).copied().collect();
+                if !remaining.is_empty() {
+                    outcome.leftovers.push(Batch {
+                        shape: batch.shape,
+                        class: batch.class,
+                        requests: remaining,
+                    });
+                }
+                outcome
+                    .leftovers
+                    .extend(batches.iter().skip(position + 1).cloned());
+                return Ok(outcome);
+            }
         }
-        run_batch(
-            shard,
-            batch,
-            requests,
-            meltdown_threshold,
-            collect_trace,
-            &mut consecutive_reference,
-            &mut outcome,
-        )?;
+        outcome.batches_done += 1;
     }
     Ok(outcome)
-}
-
-/// Execute one batch on `shard`, accumulating into `outcome`. On
-/// meltdown the batch's unserved tail is pushed onto
-/// `outcome.leftovers` and `outcome.melted` is set — the caller stops
-/// launching on this device *now*, not at the next batch boundary.
-fn run_batch(
-    shard: &DeviceShard,
-    batch: &Batch,
-    requests: &[GemmRequest],
-    meltdown_threshold: u32,
-    collect_trace: bool,
-    consecutive_reference: &mut u32,
-    outcome: &mut WaveOutcome,
-) -> Result<()> {
-    for (offset, &request_index) in batch.requests.iter().enumerate() {
-        let request = requests.get(request_index).ok_or_else(|| {
-            CoreError::Dataset(format!("request index {request_index} out of range"))
-        })?;
-        let report = shard
-            .executor
-            .launch(request.shape, &request.a, &request.b, &request.c)?;
-        outcome.served += 1;
-        outcome.flops_done += request.shape.flops();
-        if is_reference(&report) {
-            outcome.reference_fallbacks += 1;
-            *consecutive_reference += 1;
-        } else {
-            *consecutive_reference = 0;
-        }
-        if collect_trace {
-            for failure in &report.failures {
-                if let Some(event) = &failure.event {
-                    outcome.trace.push((event.clone(), None));
-                }
-            }
-            outcome
-                .trace
-                .push((report.event.clone(), Some(report.decision)));
-        }
-        if *consecutive_reference >= meltdown_threshold {
-            outcome.melted = true;
-            let remaining: Vec<usize> = batch.requests.iter().skip(offset + 1).copied().collect();
-            if !remaining.is_empty() {
-                outcome.leftovers.push(Batch {
-                    shape: batch.shape,
-                    class: batch.class,
-                    requests: remaining,
-                });
-            }
-            return Ok(());
-        }
-    }
-    outcome.batches_done += 1;
-    Ok(())
 }
 
 fn is_reference(report: &LaunchReport) -> bool {

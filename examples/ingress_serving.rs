@@ -68,7 +68,6 @@ fn scheduler(pipeline: &TuningPipeline) -> Result<ShardedScheduler, CoreError> {
             queue_capacity: 64,
             batch_window: 8,
             seed: 7,
-            parallel: true,
             ..SchedConfig::default()
         },
     )

@@ -116,7 +116,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             queue_capacity: 64,
             batch_window: 4,
             seed: 7,
-            parallel: true,
             ..SchedConfig::default()
         },
     )?;

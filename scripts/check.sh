@@ -3,13 +3,16 @@
 #
 #   scripts/check.sh fast   -- formatting, clippy, unit tests (~seconds
 #                              after a warm build; the inner-loop gate)
-#   scripts/check.sh full   -- everything: the whole test suite, the
-#                              hot-path lint and its must-fail fixture,
+#   scripts/check.sh full   -- everything: the whole test suite (root
+#                              package and every workspace crate), the
+#                              hot-path lint and its must-fail fixtures,
 #                              the analyzer self-check, the concurrency
 #                              audit (atomic roles, lock order, model
-#                              checker), the serving examples and the
-#                              bench-regression gate (the default, and
-#                              what CI runs)
+#                              checker), the serving examples, the
+#                              end-to-end benchmark's build, tests and
+#                              a short run of each gated workload, and
+#                              the bench-regression gate (the default,
+#                              and what CI runs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +40,9 @@ fi
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> workspace crate tests (cargo test --workspace -q)"
+cargo test --workspace -q
 
 echo "==> fault-injection suite (cargo test -q --test resilient_executor)"
 cargo test -q --test resilient_executor
@@ -72,12 +78,12 @@ if ./target/release/hotpath_lint crates/analyze/tests/fixtures/sweep/crates/mlki
 fi
 echo "    sweep fixture correctly rejected"
 
-echo "==> hot-path lint (must fail on the steal-path allocation fixture)"
-if ./target/release/hotpath_lint crates/analyze/tests/fixtures/alloc/deque.rs > /dev/null; then
-    echo "    FAIL: linter accepted allocations on the steal path" >&2
+echo "==> hot-path lint (must fail on the decide-path allocation fixture)"
+if ./target/release/hotpath_lint crates/analyze/tests/fixtures/alloc/cache.rs > /dev/null; then
+    echo "    FAIL: linter accepted allocations on the decide path" >&2
     exit 1
 fi
-echo "    deque fixture correctly rejected"
+echo "    allocation fixture correctly rejected"
 
 echo "==> kernel-space analyzer self-check (analyzer vs validate_launch)"
 cargo run -q --release --bin analyze_space
@@ -110,6 +116,21 @@ cargo run --release --example ingress_serving
 
 echo "==> crash recovery example (cargo run --release --example crash_recovery)"
 cargo run --release --example crash_recovery
+
+echo "==> end-to-end benchmark tests (perfbench, --locked)"
+cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+
+echo "==> end-to-end benchmark smoke runs (must print \"correct\": true)"
+for workload in resnet50_hot shape_churn; do
+    if ! out=$(cargo run --quiet --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+        --seed 1 --workload "${workload}" --seconds 2) ||
+        ! grep -q '"correct": true' <<< "${out}"; then
+        echo "${out}"
+        echo "    FAIL: ${workload} must exit 0 and print \"correct\": true" >&2
+        exit 1
+    fi
+    echo "    ${workload}: correct"
+done
 
 echo "==> bench-regression gate (scripts/bench_gate.sh)"
 scripts/bench_gate.sh

@@ -247,7 +247,6 @@ fn scheduler(shards: Vec<DeviceShard>) -> ShardedScheduler {
             queue_capacity: 64,
             batch_window: 8,
             seed: 11,
-            parallel: true,
             ..SchedConfig::default()
         },
     )

@@ -1,6 +1,6 @@
 //! Integration tests for the sharded serving scheduler: routing must be
 //! a pure function of the stream, the seed and the shard configuration
-//! — never of worker-thread interleaving — and a device failing
+//! — and of nothing a trace recorder does — and a device failing
 //! mid-stream must drain to the survivors without dropping a request.
 
 use autokernel::core::resilient::ResilientPolicy;
@@ -9,8 +9,10 @@ use autokernel::core::sched::{
 };
 use autokernel::core::{PerformanceDataset, PipelineConfig, TuningPipeline};
 use autokernel::gemm::GemmShape;
+use autokernel::sim::trace::TraceRecorder;
 use autokernel::sim::{DeviceSpec, FaultPlan, Queue};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::sync::{Arc, OnceLock};
 
 /// Shapes the shared pipeline trains on; also the pool streams draw
@@ -82,211 +84,84 @@ fn arb_policy() -> impl Strategy<Value = RoutingPolicy> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// With a fixed seed, routing and telemetry are identical whether
-    /// the wave queues execute on worker threads or sequentially, and
-    /// across repeat runs — worker interleaving must not leak into any
-    /// decision. Even the simulated makespan is bit-identical, because
-    /// each device's launch order (and so its clock history) is fixed.
-    #[test]
-    fn routing_is_deterministic_under_fixed_seed(
-        bursts in proptest::collection::vec((0usize..POOL.len(), 1usize..4), 1..12),
-        policy in arb_policy(),
-        seed in 0u64..1000,
-        queue_capacity in 1usize..5,
-        batch_window in 1usize..5,
-    ) {
-        let stream: Vec<GemmRequest> = bursts
+fn arb_stream() -> impl Strategy<Value = Vec<GemmRequest>> {
+    proptest::collection::vec((0usize..POOL.len(), 1usize..4), 1..12).prop_map(|bursts| {
+        bursts
             .iter()
             .flat_map(|&(idx, burst)| (0..burst).map(move |_| GemmRequest::zeroed(shape(idx))))
-            .collect();
-        let config = SchedConfig {
+            .collect()
+    })
+}
+
+fn arb_config() -> impl Strategy<Value = SchedConfig> {
+    (arb_policy(), 0u64..1000, 1usize..5, 1usize..5).prop_map(
+        |(policy, seed, queue_capacity, batch_window)| SchedConfig {
             policy,
             queue_capacity,
             batch_window,
             seed,
-            parallel: true,
-            ..SchedConfig::default()
-        };
-        let sequential = SchedConfig { parallel: false, ..config.clone() };
-
-        let (report_p, sched_p) = run(&stream, config.clone());
-        let (report_s, sched_s) = run(&stream, sequential);
-        let (report_r, sched_r) = run(&stream, config);
-
-        prop_assert_eq!(report_p.served, stream.len());
-        prop_assert_eq!(report_p.dropped, 0);
-        prop_assert_eq!(&report_p.assignments, &report_s.assignments);
-        prop_assert_eq!(&report_p.assignments, &report_r.assignments);
-        prop_assert_eq!(sched_p.telemetry(), sched_s.telemetry());
-        prop_assert_eq!(sched_p.telemetry(), sched_r.telemetry());
-        prop_assert_eq!(report_p.waves, report_s.waves);
-        prop_assert_eq!(report_p.makespan_s.to_bits(), report_s.makespan_s.to_bits());
-        prop_assert_eq!(report_p.makespan_s.to_bits(), report_r.makespan_s.to_bits());
-        for (p, s) in report_p.devices.iter().zip(&report_s.devices) {
-            prop_assert_eq!(p.served, s.served);
-            prop_assert_eq!(p.batches, s.batches);
-            prop_assert_eq!(p.busy_s.to_bits(), s.busy_s.to_bits());
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Work stealing must change *where* a planned batch executes, and
-    /// nothing else: the served set (every request served exactly once,
-    /// zero drops), the batching decisions, the number of batches
-    /// routed and the wave count are all identical to the deterministic
-    /// executor. Makespan may differ — that is the point of stealing.
-    #[test]
-    fn stealing_preserves_routing_and_serving_accounting(
-        bursts in proptest::collection::vec((0usize..POOL.len(), 1usize..4), 1..12),
-        policy in arb_policy(),
-        seed in 0u64..1000,
-        queue_capacity in 1usize..5,
-        batch_window in 1usize..5,
-    ) {
-        let stream: Vec<GemmRequest> = bursts
-            .iter()
-            .flat_map(|&(idx, burst)| (0..burst).map(move |_| GemmRequest::zeroed(shape(idx))))
-            .collect();
-        let config = SchedConfig {
-            policy,
-            queue_capacity,
-            batch_window,
-            seed,
-            parallel: true,
-            stealing: false,
-            ..SchedConfig::default()
-        };
-        let stealing = SchedConfig { stealing: true, ..config.clone() };
-
-        let (report_d, sched_d) = run(&stream, config);
-        let (report_w, sched_w) = run(&stream, stealing);
-
-        // Served-set equality: the whole stream, exactly once, under
-        // both executors.
-        prop_assert_eq!(report_d.served, stream.len());
-        prop_assert_eq!(report_w.served, stream.len());
-        prop_assert_eq!(report_d.dropped, 0);
-        prop_assert_eq!(report_w.dropped, 0);
-        let sum_d: u64 = report_d.devices.iter().map(|d| d.served).sum();
-        let sum_w: u64 = report_w.devices.iter().map(|d| d.served).sum();
-        prop_assert_eq!(sum_d as usize, stream.len());
-        prop_assert_eq!(sum_w as usize, stream.len());
-
-        // Routing accounting: batching is a pure function of the
-        // stream, every batch is planned exactly once, and the healthy
-        // fleet admits the same number of batches per wave either way.
-        let t_d = sched_d.telemetry();
-        let t_w = sched_w.telemetry();
-        prop_assert_eq!(t_d.batched, t_w.batched);
-        prop_assert_eq!(t_d.routed, t_w.routed);
-        prop_assert_eq!(t_d.served, t_w.served);
-        prop_assert_eq!(t_d.waves, t_w.waves);
-        prop_assert_eq!(t_d.rebalanced, 0);
-        prop_assert_eq!(t_w.rebalanced, 0);
-        prop_assert_eq!(report_d.assignments.len(), report_w.assignments.len());
-        let planned_d: usize = report_d.assignments.iter().map(|a| a.requests).sum();
-        let planned_w: usize = report_w.assignments.iter().map(|a| a.requests).sum();
-        prop_assert_eq!(planned_d, stream.len());
-        prop_assert_eq!(planned_w, stream.len());
-    }
-
-    /// In the single-wave regime the whole plan is drawn up before any
-    /// launch, so execution placement cannot feed back into routing
-    /// through the device clocks: the assignment sequence must be
-    /// bit-identical between the deterministic and stealing executors,
-    /// for every policy.
-    #[test]
-    fn stealing_leaves_single_wave_plans_bit_identical(
-        bursts in proptest::collection::vec((0usize..POOL.len(), 1usize..3), 1..8),
-        policy in arb_policy(),
-        seed in 0u64..1000,
-    ) {
-        let stream: Vec<GemmRequest> = bursts
-            .iter()
-            .flat_map(|&(idx, burst)| (0..burst).map(move |_| GemmRequest::zeroed(shape(idx))))
-            .collect();
-        // Capacity comfortably above the batch count: one wave.
-        let config = SchedConfig {
-            policy,
-            queue_capacity: 32,
-            batch_window: 2,
-            seed,
-            parallel: true,
-            stealing: false,
-            ..SchedConfig::default()
-        };
-        let stealing = SchedConfig { stealing: true, ..config.clone() };
-        let (report_d, sched_d) = run(&stream, config);
-        let (report_w, sched_w) = run(&stream, stealing);
-        prop_assert_eq!(report_d.waves, 1);
-        prop_assert_eq!(report_w.waves, 1);
-        prop_assert_eq!(&report_d.assignments, &report_w.assignments);
-        prop_assert_eq!(sched_d.telemetry(), sched_w.telemetry());
-        prop_assert_eq!(report_w.served, stream.len());
-        prop_assert_eq!(report_w.dropped, 0);
-    }
-}
-
-/// Meltdown under the stealing executor: the doomed shard stops
-/// mid-wave, its unexecuted batches are either stolen by the survivors
-/// or drained to leftovers and re-routed, and the stream still
-/// completes with zero drops.
-#[test]
-fn stealing_executor_survives_mid_stream_meltdown() {
-    let doomed_queue =
-        Queue::timing_only(Arc::new(DeviceSpec::amd_r9_nano())).with_fault_plan(Arc::new(
-            FaultPlan::new(41)
-                .doom_kernels_matching("gemm")
-                .with_onset(12),
-        ));
-    let doomed = DeviceShard::new(
-        "doomed",
-        pipeline()
-            .device_executor(doomed_queue, ResilientPolicy::default())
-            .unwrap(),
-    );
-    let survivors = [
-        (DeviceSpec::amd_r9_nano(), "nano"),
-        (DeviceSpec::desktop_gpu(), "desktop"),
-    ]
-    .into_iter()
-    .map(|(device, label)| {
-        let queue = Queue::timing_only(Arc::new(device));
-        let executor = pipeline()
-            .device_executor(queue, ResilientPolicy::default())
-            .unwrap();
-        DeviceShard::new(label, executor)
-    });
-    let mut shards = vec![doomed];
-    shards.extend(survivors);
-    let mut sched = ShardedScheduler::new(
-        shards,
-        SchedConfig {
-            policy: RoutingPolicy::RoundRobin,
-            queue_capacity: 4,
-            batch_window: 1,
-            meltdown_threshold: 2,
-            stealing: true,
             ..SchedConfig::default()
         },
     )
-    .unwrap();
+}
 
-    let stream: Vec<GemmRequest> = (0..60).map(|i| GemmRequest::zeroed(shape(i))).collect();
-    let report = sched.serve(&stream).unwrap();
+/// Two reports of the same stream on replica fleets agree on every
+/// routing decision, the wave count, the per-device counts and the
+/// simulated makespan, bit for bit.
+fn assert_same_outcome(a: &SchedReport, b: &SchedReport) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&a.assignments, &b.assignments);
+    prop_assert_eq!(a.waves, b.waves);
+    prop_assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
+    prop_assert_eq!(a.devices.len(), b.devices.len());
+    for (x, y) in a.devices.iter().zip(&b.devices) {
+        prop_assert_eq!(x.served, y.served);
+        prop_assert_eq!(x.batches, y.batches);
+        prop_assert_eq!(x.reference_fallbacks, y.reference_fallbacks);
+        prop_assert_eq!(x.busy_s.to_bits(), y.busy_s.to_bits());
+    }
+    Ok(())
+}
 
-    assert_eq!(report.served, stream.len());
-    assert_eq!(report.dropped, 0);
-    assert!(!sched.is_healthy(0), "the poisoned shard must be drained");
-    assert!(sched.is_healthy(1) && sched.is_healthy(2));
-    let per_device: u64 = report.devices.iter().map(|d| d.served).sum();
-    assert_eq!(per_device as usize, stream.len());
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// With a fixed seed, routing, telemetry and even the simulated
+    /// makespan are identical across repeat runs on fresh fleets: each
+    /// device's launch order (and so its clock history) is fixed by
+    /// the plan.
+    #[test]
+    fn routing_is_deterministic_under_fixed_seed(
+        stream in arb_stream(),
+        config in arb_config(),
+    ) {
+        let (report_a, sched_a) = run(&stream, config.clone());
+        let (report_b, sched_b) = run(&stream, config);
+
+        prop_assert_eq!(report_a.served, stream.len());
+        prop_assert_eq!(report_a.dropped, 0);
+        prop_assert_eq!(sched_a.telemetry(), sched_b.telemetry());
+        assert_same_outcome(&report_a, &report_b)?;
+    }
+
+    /// Tracing only observes: serving the same stream on replica fleets
+    /// with and without a trace recorder gives the same plan, the same
+    /// per-device counts and a bit-identical makespan, and the trace
+    /// holds one decided launch per served request.
+    #[test]
+    fn traced_serving_matches_untraced_serving(
+        stream in arb_stream(),
+        config in arb_config(),
+    ) {
+        let (report, sched) = run(&stream, config.clone());
+        let mut traced_sched = ShardedScheduler::new(fleet(), config).unwrap();
+        let mut trace = TraceRecorder::new();
+        let traced = traced_sched.serve_traced(&stream, &mut trace).unwrap();
+
+        prop_assert_eq!(traced.served, stream.len());
+        prop_assert_eq!(trace.decided_launches(), traced.served);
+        prop_assert_eq!(sched.telemetry(), traced_sched.telemetry());
+        assert_same_outcome(&report, &traced)?;
+    }
 }
 
 /// The e2e drain scenario the module exists for: three devices serve a
