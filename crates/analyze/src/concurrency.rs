@@ -1,8 +1,8 @@
 //! Static concurrency audit: atomic-ordering roles and lock ordering.
 //!
-//! PRs 5–7 made the serving stack deeply concurrent — a hand-rolled
-//! MPMC channel shim, lock-free LRU/Bloom decision caches, lock-free
-//! latency histograms, snapshot-while-serving — and `analyze::lint`
+//! The serving stack is deeply concurrent — lock-free LRU/Bloom
+//! decision caches, lock-free latency histograms, an ingress occupancy
+//! counter, snapshot-while-serving — and `analyze::lint`
 //! only proves panic-freedom. This module makes the *memory-ordering
 //! contracts* mechanical, in the same comment-stripping token-scanner
 //! style (no Rust parser, no dependencies):
@@ -55,16 +55,15 @@ use std::path::Path;
 pub const TOOL_NAME: &str = "concurrency-auditor";
 
 /// The audited modules: `(label, workspace-relative path)`. Five core
-/// serving modules and the decide hot path, plus the two hand-rolled
-/// synchronisation shims.
-pub const AUDIT_TARGETS: [(&str, &str); 8] = [
+/// serving modules and the decide hot path, plus the hand-rolled
+/// `parking_lot` synchronisation shim.
+pub const AUDIT_TARGETS: [(&str, &str); 7] = [
     ("core::cache", "crates/core/src/cache.rs"),
     ("core::decide", "crates/core/src/decide.rs"),
     ("core::ingress", "crates/core/src/ingress.rs"),
     ("core::online", "crates/core/src/online.rs"),
     ("core::sched", "crates/core/src/sched.rs"),
     ("core::resilient", "crates/core/src/resilient.rs"),
-    ("shims::crossbeam", "shims/crossbeam/src/lib.rs"),
     ("shims::parking_lot", "shims/parking_lot/src/lib.rs"),
 ];
 

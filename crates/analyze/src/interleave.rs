@@ -6,33 +6,31 @@
 //! exhaustively exploring thread interleavings of small-bound models of
 //! the hand-rolled primitives:
 //!
-//! - the crossbeam channel shim (bounded queue, two condvars, sender
-//!   disconnect with `notify_all`),
 //! - the `ShardedCache` bounded-LRU insert path with CountingBloom
 //!   admission,
 //! - `LatencyHistogram::record`'s bucket-then-count publication,
 //! - the `OnlineSelector` drift flip (generation bump published before
 //!   the adaptive flag), and
 //! - the ingress `submitted == served + shed` accounting identity with
-//!   tenant hold/release.
+//!   tenant hold/release and the queue-occupancy reservation.
 //!
 //! **How it explores.** CHESS-style stateless search: a model is a
 //! deterministic function of a *decision tape*. Every nondeterministic
 //! point — which runnable thread steps next, which visible write a load
-//! observes, which waiter a `notify_one` wakes — calls
-//! [`Trace::choose`], which replays a recorded decision or records a
-//! new zero. After each complete execution the explorer backtracks by
-//! incrementing the last decision that has alternatives left and
-//! truncating the tape after it, re-running the model from scratch.
+//! observes — calls [`Trace::choose`], which replays a recorded
+//! decision or records a new zero. After each complete execution the
+//! explorer backtracks by incrementing the last decision that has
+//! alternatives left and truncating the tape after it, re-running the
+//! model from scratch.
 //! The search is seed-free, fully deterministic, and exhaustive at the
 //! configured bounds; a violation's counterexample *is* the tape.
 //!
 //! **Memory model.** Mutex-protected state takes coarse atomic critical
 //! sections (sound for data races — interleavings inside a region the
 //! lock serialises are invisible — while still catching protocol bugs:
-//! lost wakeups, missed notifies, check-then-act races). Atomics get an
-//! operational release/acquire model ([`WeakMemory`]): each location
-//! keeps an append-only write history; a `Release` write captures the
+//! check-then-act races, leaked slots). Atomics get an operational
+//! release/acquire model ([`WeakMemory`]): each location keeps an
+//! append-only write history; a `Release` write captures the
 //! writer's view (per-location visibility floors); a load chooses *any*
 //! write at or after the thread's floor, and an `Acquire` load of a
 //! released write joins the writer's captured view. RMWs always read
@@ -45,9 +43,9 @@
 //! **What the bounds prove.** Exhaustive at 2–3 threads and one or two
 //! operations per thread: enough to exhibit every two-party ordering
 //! bug seeded in the mutation suite (weakened `Release`, reordered
-//! publication, torn read-modify-write, missing `notify_all`, leaked
-//! tenant slot), and small enough to finish in well under a second.
-//! They are *not* a proof for unbounded thread counts.
+//! publication, torn read-modify-write, late occupancy reservation,
+//! leaked tenant slot), and small enough to finish in well under a
+//! second. They are *not* a proof for unbounded thread counts.
 //!
 //! [`self_check`] runs every faithful model (expecting a clean
 //! exhaustive pass) and every seeded mutation (expecting the checker to
@@ -362,32 +360,24 @@ impl WeakMemory {
 /// The modelled subsystems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Model {
-    /// Crossbeam channel shim: bounded queue, two condvars, disconnect.
-    Channel,
     /// ShardedCache bounded-LRU insert with CountingBloom admission.
     Cache,
     /// LatencyHistogram bucket-then-count publication.
     Histogram,
     /// OnlineSelector drift flip: generation bump before adaptive flag.
     Drift,
-    /// Ingress `submitted == served + shed` with tenant hold/release.
+    /// Ingress `submitted == served + shed` with tenant hold/release
+    /// and the queue-occupancy reservation.
     Ingress,
 }
 
 impl Model {
     /// All models, in reporting order.
-    pub const ALL: [Model; 5] = [
-        Model::Channel,
-        Model::Cache,
-        Model::Histogram,
-        Model::Drift,
-        Model::Ingress,
-    ];
+    pub const ALL: [Model; 4] = [Model::Cache, Model::Histogram, Model::Drift, Model::Ingress];
 
     /// Stable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
-            Model::Channel => "channel-shim",
             Model::Cache => "cache-admission",
             Model::Histogram => "latency-histogram",
             Model::Drift => "drift-publication",
@@ -400,13 +390,6 @@ impl Model {
 /// variant of one model, mirroring a real class of concurrency bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Last sender drops without any notify: blocked receivers hang.
-    ChannelDropNoNotify,
-    /// Disconnect uses `notify_one` instead of `notify_all`: with two
-    /// blocked receivers one never wakes.
-    ChannelDropNotifyOne,
-    /// Receiver waits on the `not_full` condvar (wrong condvar).
-    ChannelRecvWaitsWrongCv,
     /// Bloom increment as separate load + store instead of one RMW:
     /// concurrent observes lose updates.
     CacheTornBloom,
@@ -427,14 +410,16 @@ pub enum Mutation {
     IngressLeakTenantOnShed,
     /// Shed path double-counts, breaking the accounting identity.
     IngressDoubleCountShed,
+    /// The producer reserves its occupancy slot in a separate step
+    /// after enqueueing, so the dispatcher can release it first. A real
+    /// `AtomicUsize` wraps to `usize::MAX` and sheds every Batch
+    /// request until the late increment lands.
+    IngressReserveAfterSend,
 }
 
 impl Mutation {
     /// All mutations, in reporting order.
-    pub const ALL: [Mutation; 11] = [
-        Mutation::ChannelDropNoNotify,
-        Mutation::ChannelDropNotifyOne,
-        Mutation::ChannelRecvWaitsWrongCv,
+    pub const ALL: [Mutation; 9] = [
         Mutation::CacheTornBloom,
         Mutation::CacheCheckThenAct,
         Mutation::HistogramRelaxedCount,
@@ -443,27 +428,24 @@ impl Mutation {
         Mutation::DriftFlipBeforeBump,
         Mutation::IngressLeakTenantOnShed,
         Mutation::IngressDoubleCountShed,
+        Mutation::IngressReserveAfterSend,
     ];
 
     /// The model this mutation breaks.
     pub fn model(&self) -> Model {
         match self {
-            Mutation::ChannelDropNoNotify
-            | Mutation::ChannelDropNotifyOne
-            | Mutation::ChannelRecvWaitsWrongCv => Model::Channel,
             Mutation::CacheTornBloom | Mutation::CacheCheckThenAct => Model::Cache,
             Mutation::HistogramRelaxedCount | Mutation::HistogramTornCount => Model::Histogram,
             Mutation::DriftRelaxedFlagStore | Mutation::DriftFlipBeforeBump => Model::Drift,
-            Mutation::IngressLeakTenantOnShed | Mutation::IngressDoubleCountShed => Model::Ingress,
+            Mutation::IngressLeakTenantOnShed
+            | Mutation::IngressDoubleCountShed
+            | Mutation::IngressReserveAfterSend => Model::Ingress,
         }
     }
 
     /// Stable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
-            Mutation::ChannelDropNoNotify => "drop-no-notify",
-            Mutation::ChannelDropNotifyOne => "drop-notify-one",
-            Mutation::ChannelRecvWaitsWrongCv => "recv-waits-wrong-cv",
             Mutation::CacheTornBloom => "torn-bloom-increment",
             Mutation::CacheCheckThenAct => "capacity-check-then-act",
             Mutation::HistogramRelaxedCount => "relaxed-count-publish",
@@ -472,6 +454,7 @@ impl Mutation {
             Mutation::DriftFlipBeforeBump => "flip-before-bump",
             Mutation::IngressLeakTenantOnShed => "leak-tenant-on-shed",
             Mutation::IngressDoubleCountShed => "double-count-shed",
+            Mutation::IngressReserveAfterSend => "reserve-after-send",
         }
     }
 }
@@ -481,7 +464,6 @@ pub fn check(model: Model, mutation: Option<Mutation>) -> Result<Exploration, Co
     debug_assert!(mutation.is_none_or(|m| m.model() == model));
     let explorer = Explorer::default();
     match model {
-        Model::Channel => explorer.explore(|t| run_channel(t, mutation)),
         Model::Cache => explorer.explore(|t| run_cache(t, mutation)),
         Model::Histogram => explorer.explore(|t| run_histogram(t, mutation)),
         Model::Drift => explorer.explore(|t| run_drift(t, mutation)),
@@ -533,131 +515,6 @@ pub fn self_check() -> Vec<ModelCheckRow> {
         rows.push(row);
     }
     rows
-}
-
-// --------------------------- channel model ---------------------------
-
-/// Two producers (one message each, then drop), two consumers, capacity
-/// one — the crossbeam shim's bounded queue with `not_empty`/`not_full`
-/// condvars and last-sender-drop disconnect. Critical sections are
-/// coarse (one step each), which the real mutex makes sound.
-struct ChanState {
-    queue: Vec<u64>,
-    cap: usize,
-    senders: usize,
-    /// Producer/consumer program counters. Producers: 0 = sending,
-    /// 1 = dropping, 2 = done. Consumers: 0 = receiving, 1 = done.
-    pc: [usize; 4],
-    parked: [bool; 4],
-    /// Waiter lists per condvar (thread ids).
-    not_empty: Vec<usize>,
-    not_full: Vec<usize>,
-    received: Vec<u64>,
-}
-
-const CHAN_PRODUCERS: usize = 2;
-const CHAN_THREADS: usize = 4;
-
-impl ChanState {
-    fn notify_one(&mut self, trace: &mut Trace, cv: bool) {
-        let set = if cv {
-            &mut self.not_empty
-        } else {
-            &mut self.not_full
-        };
-        if set.is_empty() {
-            return;
-        }
-        let idx = trace.choose(set.len());
-        let tid = set.remove(idx.min(set.len() - 1));
-        self.parked[tid] = false;
-    }
-
-    fn notify_all_not_empty(&mut self) {
-        for tid in self.not_empty.drain(..) {
-            self.parked[tid] = false;
-        }
-    }
-}
-
-fn run_channel(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), String> {
-    let mut st = ChanState {
-        queue: Vec::new(),
-        cap: 1,
-        senders: CHAN_PRODUCERS,
-        pc: [0; CHAN_THREADS],
-        parked: [false; CHAN_THREADS],
-        not_empty: Vec::new(),
-        not_full: Vec::new(),
-        received: Vec::new(),
-    };
-    drive(
-        trace,
-        &mut st,
-        CHAN_THREADS,
-        |s, t| {
-            if t < CHAN_PRODUCERS {
-                s.pc[t] == 2
-            } else {
-                s.pc[t] == 1
-            }
-        },
-        |s, t| !s.parked[t],
-        |s, t, trace| {
-            if t < CHAN_PRODUCERS {
-                match s.pc[t] {
-                    0 => {
-                        // send(): whole critical section in one step.
-                        if s.queue.len() < s.cap {
-                            s.queue.push(t as u64 + 1);
-                            s.notify_one(trace, true);
-                            s.pc[t] = 1;
-                        } else {
-                            s.parked[t] = true;
-                            s.not_full.push(t);
-                        }
-                    }
-                    _ => {
-                        // Drop the sender; last one announces disconnect.
-                        s.senders -= 1;
-                        if s.senders == 0 {
-                            match mutation {
-                                Some(Mutation::ChannelDropNoNotify) => {}
-                                Some(Mutation::ChannelDropNotifyOne) => s.notify_one(trace, true),
-                                _ => s.notify_all_not_empty(),
-                            }
-                        }
-                        s.pc[t] = 2;
-                    }
-                }
-            } else {
-                // recv(): pop, or observe disconnect, or park.
-                if let Some(v) = s.queue.first().copied() {
-                    s.queue.remove(0);
-                    s.received.push(v);
-                    s.notify_one(trace, false);
-                } else if s.senders == 0 {
-                    s.pc[t] = 1;
-                } else {
-                    s.parked[t] = true;
-                    if matches!(mutation, Some(Mutation::ChannelRecvWaitsWrongCv)) {
-                        s.not_full.push(t);
-                    } else {
-                        s.not_empty.push(t);
-                    }
-                }
-            }
-            Ok(())
-        },
-    )?;
-    let mut got = st.received.clone();
-    got.sort_unstable();
-    if got != vec![1, 2] {
-        return Err(format!(
-            "channel lost or duplicated messages: received {got:?}, sent [1, 2]"
-        ));
-    }
-    Ok(())
 }
 
 // ---------------------------- cache model ----------------------------
@@ -923,66 +780,96 @@ fn run_drift(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), String
 /// Two producers submit one request each through the tenant gate
 /// (quota 2) into a capacity-1 queue; a dispatcher drains, releasing
 /// the tenant slot and counting `served`. Queue-full submissions take
-/// the shed path: release the slot, count `shed`. Checks the
-/// `submitted == served + shed` identity and that no tenant slot leaks.
+/// the shed path: release the slot, count `shed`. Each producer also
+/// reserves a queue-occupancy slot in its gate step, released when it
+/// sheds or when the dispatcher dequeues its request. Checks the
+/// `submitted == served + shed` identity, that no tenant slot leaks,
+/// and that the occupancy counter never goes below zero and is zero
+/// after the drain.
 fn run_ingress(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), String> {
     let leak = matches!(mutation, Some(Mutation::IngressLeakTenantOnShed));
     let double = matches!(mutation, Some(Mutation::IngressDoubleCountShed));
+    let late_reserve = matches!(mutation, Some(Mutation::IngressReserveAfterSend));
+    /// Program counter of a finished thread.
+    const DONE: usize = 3;
     struct St {
         held: usize,
+        queued: usize,
         queue: Vec<u64>,
         submitted: u64,
         served: u64,
         shed: u64,
         pc: [usize; 3],
     }
+    fn release(queued: &mut usize) -> Result<(), String> {
+        *queued = queued
+            .checked_sub(1)
+            .ok_or("occupancy counter released below zero")?;
+        Ok(())
+    }
     let mut st = St {
         held: 0,
+        queued: 0,
         queue: Vec::new(),
         submitted: 0,
         served: 0,
         shed: 0,
         pc: [0; 3],
     };
-    let producers_done = |s: &St| s.pc[0] == 2 && s.pc[1] == 2;
+    let producers_done = |s: &St| s.pc[0] == DONE && s.pc[1] == DONE;
     drive(
         trace,
         &mut st,
         3,
-        |s, t| s.pc[t] == 2,
+        |s, t| s.pc[t] == DONE,
         |s, t| t < 2 || !s.queue.is_empty() || producers_done(s),
         |s, t, _trace| {
             if t < 2 {
                 match s.pc[t] {
                     0 => {
-                        // Tenant gate (quota 2 — both fit) + submit count.
+                        // Tenant gate (quota 2 — both fit), submit
+                        // count and occupancy reservation.
                         s.submitted += 1;
                         s.held += 1;
+                        if !late_reserve {
+                            s.queued += 1;
+                        }
                         s.pc[t] = 1;
                     }
-                    _ => {
+                    1 => {
                         // Enqueue, or shed on a full (capacity 1) queue.
                         if s.queue.is_empty() {
                             s.queue.push(t as u64);
+                            s.pc[t] = if late_reserve { 2 } else { DONE };
                         } else {
                             if !leak {
                                 s.held -= 1;
+                            }
+                            if !late_reserve {
+                                release(&mut s.queued)?;
                             }
                             s.shed += 1;
                             if double {
                                 s.shed += 1;
                             }
+                            s.pc[t] = DONE;
                         }
-                        s.pc[t] = 2;
+                    }
+                    _ => {
+                        // reserve-after-send: the reservation lands
+                        // after the request is already in the queue.
+                        s.queued += 1;
+                        s.pc[t] = DONE;
                     }
                 }
             } else if !s.queue.is_empty() {
                 s.queue.remove(0);
                 s.held -= 1;
+                release(&mut s.queued)?;
                 s.served += 1;
             } else {
                 // Queue empty and producers done: dispatcher exits.
-                s.pc[t] = 2;
+                s.pc[t] = DONE;
             }
             Ok(())
         },
@@ -997,6 +884,12 @@ fn run_ingress(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), Stri
         return Err(format!(
             "tenant slot leak: {} slots still held after drain",
             st.held
+        ));
+    }
+    if st.queued != 0 {
+        return Err(format!(
+            "occupancy counter is {} after drain, not 0",
+            st.queued
         ));
     }
     Ok(())

@@ -7,10 +7,10 @@
 //! shed work under overload instead of queueing it into latency
 //! heat-death. This module is that something:
 //!
-//! * **MPMC ingestion** — producers on any number of threads submit
+//! * **MPSC ingestion** — producers on any number of threads submit
 //!   through cloneable [`IngressHandle`]s into one bounded channel
-//!   (the crossbeam shim's MPMC queue); a single dispatcher thread
-//!   owns the scheduler and drains the channel in chunks, so the
+//!   (std's [`mpsc::sync_channel`]); a single dispatcher thread owns
+//!   the scheduler and drains the channel in chunks, so the
 //!   scheduler's deterministic plan/execute waves stay single-writer.
 //! * **Per-tenant admission** — each tenant may hold at most
 //!   [`TenantQuota::max_queued`] requests in the queue; excess arrivals
@@ -46,10 +46,10 @@ use crate::cache::LatencyHistogram;
 use crate::persist::{RestoreOutcome, Snapshot, SnapshotterConfig};
 use crate::sched::{GemmRequest, ShardedScheduler};
 use crate::{CoreError, Result};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -204,9 +204,11 @@ impl IngressRequest {
         self
     }
 
-    /// The same request with a deadline `d` from now.
+    /// The same request with a deadline `d` from now. A deadline past
+    /// the end of `Instant` (such as `Duration::MAX`) means no
+    /// deadline.
     pub fn with_deadline_in(mut self, d: Duration) -> Self {
-        self.deadline = Some(Instant::now() + d);
+        self.deadline = Instant::now().checked_add(d);
         self
     }
 }
@@ -235,6 +237,20 @@ struct Shared {
     latency: [LatencyHistogram; PRIORITY_CLASSES],
     /// Requests currently queued, per tenant.
     tenants: Mutex<HashMap<u32, usize>>,
+    /// Queue occupancy for Batch-headroom admission (std's channel has
+    /// no `len`): `submit` reserves a slot with `fetch_add` before it
+    /// sends, and the dispatcher releases a chunk's slots on dequeue.
+    /// The count is exact:
+    /// * A request's decrement follows its `recv`, which follows its
+    ///   send, which follows its `fetch_add`, so the counter never goes
+    ///   below zero.
+    /// * The reservation itself decides Batch admission, so concurrent
+    ///   Batch producers cannot overshoot the headroom mark (reading
+    ///   the length and then calling `try_send` could).
+    /// * It includes reserved requests not yet in the channel, such as
+    ///   an Interactive producer blocked in `send`, so under overload
+    ///   Batch work sheds no later than a channel-length check would.
+    queued: AtomicUsize,
     shed_shutdown: AtomicU64,
     snapshots_written: AtomicU64,
     snapshot_errors: AtomicU64,
@@ -262,6 +278,7 @@ impl Shared {
                 LatencyHistogram::new(),
             ],
             tenants: Mutex::new(HashMap::new()),
+            queued: AtomicUsize::new(0),
             shed_shutdown: AtomicU64::new(0),
             snapshots_written: AtomicU64::new(0),
             snapshot_errors: AtomicU64::new(0),
@@ -284,6 +301,13 @@ impl Shared {
         };
         Self::bump(&self.class_shed, priority);
         SubmitOutcome::Shed(reason)
+    }
+
+    /// Undo a submit's queue reservation and tenant slot on an exit
+    /// that does not enqueue.
+    fn unreserve(&self, tenant: u32) {
+        self.queued.fetch_sub(1, Ordering::Relaxed); // atomic:role(counter)
+        self.release_tenant(tenant);
     }
 
     /// Release one queue slot held by `tenant`.
@@ -366,15 +390,15 @@ impl IngressReport {
 /// A cloneable producer handle: submit from any thread.
 #[derive(Clone)]
 pub struct IngressHandle {
-    sender: Sender<Envelope>,
+    sender: SyncSender<Envelope>,
     shared: Arc<Shared>,
     config: IngressConfig,
 }
 
 impl IngressHandle {
-    /// Submit one request. Returns the typed outcome; `Err` only for a
-    /// closed ingress (the dispatcher is gone), which is a structural
-    /// misuse, not load.
+    /// Submit one request. Returns the typed outcome;
+    /// `Err(CoreError::IngressClosed)` only when the dispatcher is
+    /// gone, which is a structural misuse, not load.
     pub fn submit(&self, request: IngressRequest) -> Result<SubmitOutcome> {
         let shared = &self.shared;
         shared.submitted.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
@@ -398,14 +422,17 @@ impl IngressHandle {
             *count += 1;
         }
 
-        // Priority-tiered queue admission: batch work needs headroom,
-        // standard work needs a slot, interactive work waits for one.
+        // Priority-tiered queue admission: reserve an occupancy slot
+        // (released by the dispatcher on dequeue, or below on any exit
+        // that does not enqueue). Batch work needs headroom, standard
+        // work needs a slot, interactive work waits for one.
+        let occupied = shared.queued.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
         if request.priority == Priority::Batch {
-            let capacity = self.sender.capacity().max(1);
+            let capacity = self.config.queue_capacity.max(1);
             let headroom = self.config.batch_headroom.clamp(0.0, 1.0);
             let admit_below = capacity.saturating_sub((capacity as f64 * headroom) as usize);
-            if self.sender.len() >= admit_below.max(1) {
-                shared.release_tenant(request.tenant);
+            if occupied >= admit_below.max(1) {
+                shared.unreserve(request.tenant);
                 return Ok(shared.shed(request.priority, ShedReason::QueueFull));
             }
         }
@@ -428,7 +455,7 @@ impl IngressHandle {
             match self.sender.try_send(envelope) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(_)) => {
-                    shared.release_tenant(tenant);
+                    shared.unreserve(tenant);
                     return Ok(shared.shed(priority, ShedReason::QueueFull));
                 }
                 Err(TrySendError::Disconnected(_)) => Err(()),
@@ -440,10 +467,8 @@ impl IngressHandle {
                 Ok(SubmitOutcome::Enqueued)
             }
             Err(()) => {
-                shared.release_tenant(tenant);
-                Err(CoreError::Dataset(
-                    "ingress is closed: the dispatcher has shut down".into(),
-                ))
+                shared.unreserve(tenant);
+                Err(CoreError::IngressClosed)
             }
         }
     }
@@ -509,7 +534,7 @@ struct DispatchOutcome {
 /// producer handle.
 ///
 /// ```text
-/// producers --IngressHandle::submit--> bounded MPMC --dispatcher--> ShardedScheduler
+/// producers --IngressHandle::submit--> mpsc::sync_channel --dispatcher--> ShardedScheduler
 /// ```
 ///
 /// Call [`Ingress::finish`] to close the primary handle, drain the
@@ -583,7 +608,7 @@ impl Ingress {
         snapshotter: Option<Snapshotter>,
     ) -> Self {
         let shared = Arc::new(Shared::new());
-        let (sender, receiver) = channel::bounded(config.queue_capacity.max(1));
+        let (sender, receiver) = mpsc::sync_channel(config.queue_capacity.max(1));
         let worker_shared = Arc::clone(&shared);
         let chunk = config.dispatch_chunk.max(1);
         let worker = std::thread::spawn(move || {
@@ -621,19 +646,14 @@ impl Ingress {
     /// dropping the real one — once every cloned handle is gone too,
     /// the dispatcher sees the channel close and drains.
     fn close_sender(&mut self) {
-        let (closed, _) = channel::bounded(1);
+        let (closed, _) = mpsc::sync_channel(1);
         drop(std::mem::replace(&mut self.handle.sender, closed));
     }
 
     fn join_worker(&mut self) -> Result<(IngressReport, ShardedScheduler)> {
-        let worker = self
-            .worker
-            .take()
-            .ok_or_else(|| CoreError::Dataset("ingress finish called twice".into()))?;
+        let worker = self.worker.take().ok_or(CoreError::IngressClosed)?;
         self.close_sender();
-        let outcome = worker
-            .join()
-            .map_err(|_| CoreError::Dataset("ingress dispatcher thread died".into()))??;
+        let outcome = worker.join().map_err(|_| CoreError::DispatcherPanicked)??;
         let report = report_from(&self.shared, outcome.waves, outcome.fleet_degraded);
         Ok((report, outcome.scheduler))
     }
@@ -735,6 +755,7 @@ fn dispatch(
                 Err(_) => break,
             }
         }
+        shared.queued.fetch_sub(envelopes.len(), Ordering::Relaxed); // atomic:role(counter)
 
         // Dequeued: release tenant slots, shed expired deadlines and —
         // when a graceful drain has run past its deadline — everything
@@ -815,6 +836,61 @@ mod tests {
         assert_eq!(request.tenant, 7);
         assert_eq!(request.priority, Priority::Batch);
         assert!(request.deadline.is_some());
+        // A deadline past the end of `Instant` is no deadline, not a panic.
+        let request = request.with_deadline_in(Duration::MAX);
+        assert_eq!(request.deadline, None);
+    }
+
+    #[test]
+    fn batch_headroom_admission_is_exact_and_a_closed_ingress_is_typed() {
+        let (sender, receiver) = mpsc::sync_channel(8);
+        let handle = IngressHandle {
+            sender,
+            shared: Arc::new(Shared::new()),
+            config: IngressConfig {
+                queue_capacity: 8,
+                batch_headroom: 0.5,
+                tenant_quota: TenantQuota {
+                    max_queued: 1 << 20,
+                },
+                ..IngressConfig::default()
+            },
+        };
+        let submit = |priority| {
+            let request = GemmRequest::zeroed(GemmShape::new(8, 8, 8));
+            handle.submit(IngressRequest::new(request).with_priority(priority))
+        };
+        let shared = &handle.shared;
+        let tenant_total = || shared.tenants.lock().values().sum::<usize>();
+        let queue_full = SubmitOutcome::Shed(ShedReason::QueueFull);
+
+        // Capacity 8 with half kept free: Batch is admitted below 4.
+        for _ in 0..4 {
+            assert_eq!(submit(Priority::Batch).unwrap(), SubmitOutcome::Enqueued);
+        }
+        assert_eq!(submit(Priority::Batch).unwrap(), queue_full);
+        // Standard fills the remaining four slots, then sheds.
+        for _ in 0..4 {
+            assert_eq!(submit(Priority::Standard).unwrap(), SubmitOutcome::Enqueued);
+        }
+        assert_eq!(submit(Priority::Standard).unwrap(), queue_full);
+        assert_eq!(shared.queued.load(Ordering::Relaxed), 8);
+        assert_eq!(tenant_total(), 8);
+        let report = report_from(shared, 0, false);
+        assert_eq!(
+            (report.submitted, report.enqueued, report.shed_queue_full),
+            (10, 8, 2)
+        );
+
+        // With the dispatcher gone, submit fails typed and releases
+        // both of its reservations.
+        drop(receiver);
+        assert!(matches!(
+            submit(Priority::Standard),
+            Err(CoreError::IngressClosed)
+        ));
+        assert_eq!(shared.queued.load(Ordering::Relaxed), 8);
+        assert_eq!(tenant_total(), 8);
     }
 
     #[test]

@@ -105,6 +105,11 @@ pub enum CoreError {
         /// Requests that still completed via the reference path.
         degraded: usize,
     },
+    /// The ingress is closed: its dispatcher has shut down, or it was
+    /// already finished.
+    IngressClosed,
+    /// The ingress dispatcher thread panicked.
+    DispatcherPanicked,
 }
 
 impl std::fmt::Display for CoreError {
@@ -126,6 +131,10 @@ impl std::fmt::Display for CoreError {
                 f,
                 "all shards melted down; {degraded} request(s) degraded to the reference kernel"
             ),
+            CoreError::IngressClosed => {
+                write!(f, "ingress is closed: the dispatcher has shut down")
+            }
+            CoreError::DispatcherPanicked => write!(f, "ingress dispatcher thread panicked"),
         }
     }
 }

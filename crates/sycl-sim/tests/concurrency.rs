@@ -42,19 +42,18 @@ fn parallel_submissions_serialise_on_the_in_order_queue() {
     let n_threads = 8;
     let per_thread = 25;
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..n_threads {
             let queue = Arc::clone(&queue);
             let buf = buf.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let kernel = AddOne { buf };
                 for _ in 0..per_thread {
                     queue.submit(&kernel, range).unwrap();
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Every increment must be visible (buffer writes are exclusive).
     let expect = (n_threads * per_thread) as u32;
@@ -80,11 +79,11 @@ fn events_from_parallel_submissions_do_not_overlap() {
     let queue = Arc::new(Queue::timing_only(Arc::new(DeviceSpec::desktop_gpu())));
     let range = NDRange::new([128, 1], [64, 1]).unwrap();
 
-    let events: Vec<_> = crossbeam::thread::scope(|s| {
+    let events: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let kernel = AddOne {
                         buf: Buffer::from_vec(vec![0u32; 128]),
                     };
@@ -98,8 +97,7 @@ fn events_from_parallel_submissions_do_not_overlap() {
             .into_iter()
             .flat_map(|h| h.join().unwrap())
             .collect()
-    })
-    .unwrap();
+    });
 
     let mut sorted = events;
     sorted.sort_by(|a, b| a.start_s().partial_cmp(&b.start_s()).unwrap());

@@ -1,434 +1,7 @@
-//! Offline shim for `crossbeam`: the scoped-thread API
-//! (`crossbeam::thread::scope`) layered over `std::thread::scope`, and
-//! the bounded MPMC channel subset of `crossbeam::channel` that the
-//! ingress layer uses.
-
-/// Bounded multi-producer multi-consumer channels
-/// (`crossbeam::channel`), implemented over a mutex-protected ring with
-/// two condvars. The API subset mirrors crossbeam exactly:
-/// [`bounded`], cloneable [`Sender`]/[`Receiver`], blocking and
-/// non-blocking operations, and disconnect semantics (a receive on a
-/// channel whose senders are all dropped drains the buffer first, then
-/// errors).
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is at capacity.
-        Full(T),
-        /// Every receiver has been dropped.
-        Disconnected(T),
-    }
-
-    /// Error returned by [`Sender::send`]: every receiver is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty (senders still connected).
-        Empty,
-        /// The channel is empty and every sender has been dropped.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv`]: the channel is empty and
-    /// every sender has been dropped.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    struct Chan<T> {
-        state: Mutex<State<T>>,
-        not_empty: Condvar,
-        not_full: Condvar,
-        capacity: usize,
-    }
-
-    impl<T> Chan<T> {
-        fn lock(&self) -> MutexGuard<'_, State<T>> {
-            // A panicking sender cannot corrupt a VecDeque push/pop, so
-            // poisoning is recoverable here.
-            match self.state.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            }
-        }
-    }
-
-    /// The sending half of a bounded channel. Clone freely: the channel
-    /// disconnects only when the last clone drops.
-    pub struct Sender<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// The receiving half of a bounded channel. Clone freely for
-    /// multi-consumer draining.
-    pub struct Receiver<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// Create a bounded MPMC channel holding at most `capacity`
-    /// messages (a zero capacity is clamped to one: this shim has no
-    /// rendezvous mode).
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        let chan = Arc::new(Chan {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        });
-        (
-            Sender {
-                chan: Arc::clone(&chan),
-            },
-            Receiver { chan },
-        )
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueue `value`, blocking while the channel is full. Fails
-        /// only when every receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut state = self.chan.lock();
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                if state.queue.len() < self.chan.capacity {
-                    state.queue.push_back(value);
-                    self.chan.not_empty.notify_one();
-                    return Ok(());
-                }
-                state = match self.chan.not_full.wait(state) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        }
-
-        /// Enqueue `value` without blocking; a full channel returns the
-        /// value back in [`TrySendError::Full`] — the load-shedding
-        /// primitive.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.chan.lock();
-            if state.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if state.queue.len() >= self.chan.capacity {
-                return Err(TrySendError::Full(value));
-            }
-            state.queue.push_back(value);
-            self.chan.not_empty.notify_one();
-            Ok(())
-        }
-
-        /// Messages currently buffered.
-        pub fn len(&self) -> usize {
-            self.chan.lock().queue.len()
-        }
-
-        /// Whether the buffer is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// The channel's capacity bound.
-        pub fn capacity(&self) -> usize {
-            self.chan.capacity
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Dequeue one message, blocking while the channel is empty.
-        /// Errors only when the buffer is drained *and* every sender
-        /// has been dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = self.chan.lock();
-            loop {
-                if let Some(value) = state.queue.pop_front() {
-                    self.chan.not_full.notify_one();
-                    return Ok(value);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError);
-                }
-                state = match self.chan.not_empty.wait(state) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        }
-
-        /// Dequeue one message without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.chan.lock();
-            if let Some(value) = state.queue.pop_front() {
-                self.chan.not_full.notify_one();
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-
-        /// Messages currently buffered.
-        pub fn len(&self) -> usize {
-            self.chan.lock().queue.len()
-        }
-
-        /// Whether the buffer is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.chan.lock().senders += 1;
-            Sender {
-                chan: Arc::clone(&self.chan),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.chan.lock().receivers += 1;
-            Receiver {
-                chan: Arc::clone(&self.chan),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut state = self.chan.lock();
-            state.senders -= 1;
-            if state.senders == 0 {
-                drop(state);
-                // Blocked receivers must wake to observe disconnection.
-                self.chan.not_empty.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut state = self.chan.lock();
-            state.receivers -= 1;
-            if state.receivers == 0 {
-                drop(state);
-                // Blocked senders must wake to observe disconnection.
-                self.chan.not_full.notify_all();
-            }
-        }
-    }
-}
-
-/// Scoped threads (`crossbeam::thread`).
-pub mod thread {
-    /// Result of joining a scoped thread (mirrors `std::thread::Result`).
-    pub type Result<T> = std::thread::Result<T>;
-
-    /// A scope handed to the closure passed to [`scope`]; spawn scoped
-    /// threads through it.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Handle to a thread spawned inside a [`Scope`].
-    pub struct ScopedJoinHandle<'scope, T>(std::thread::ScopedJoinHandle<'scope, T>);
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Wait for the thread to finish, returning its result.
-        pub fn join(self) -> Result<T> {
-            self.0.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread scoped to the enclosing [`scope`] call. As in
-        /// crossbeam, the closure receives the scope again so it can
-        /// spawn nested threads.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle(inner.spawn(move || f(&Scope { inner })))
-        }
-    }
-
-    /// Run `f` with a scope in which borrowing, scoped threads can be
-    /// spawned; returns once every spawned thread has finished.
-    ///
-    /// Unlike crossbeam this propagates child panics as a panic (via
-    /// `std::thread::scope`) rather than an `Err`, which is equivalent
-    /// for callers that `.unwrap()` the result — as this workspace does.
-    pub fn scope<'env, F, R>(f: F) -> Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
-#[cfg(test)]
-mod channel_tests {
-    use crate::channel::{bounded, TryRecvError, TrySendError};
-    use std::collections::HashSet;
-
-    #[test]
-    fn fifo_within_capacity() {
-        let (tx, rx) = bounded(4);
-        for i in 0..4 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(tx.len(), 4);
-        for i in 0..4 {
-            assert_eq!(rx.recv().unwrap(), i);
-        }
-        assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn try_send_reports_full_and_returns_value() {
-        let (tx, rx) = bounded(1);
-        tx.try_send(10).unwrap();
-        assert_eq!(tx.try_send(11), Err(TrySendError::Full(11)));
-        assert_eq!(rx.recv().unwrap(), 10);
-        tx.try_send(12).unwrap();
-    }
-
-    #[test]
-    fn recv_drains_buffer_before_disconnecting() {
-        let (tx, rx) = bounded(8);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.try_recv().unwrap(), 2);
-        assert!(rx.recv().is_err());
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn try_recv_empty_vs_disconnected() {
-        let (tx, rx) = bounded::<u32>(2);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn send_fails_once_receivers_are_gone() {
-        let (tx, rx) = bounded(2);
-        drop(rx);
-        assert!(tx.send(5).is_err());
-        assert!(matches!(tx.try_send(6), Err(TrySendError::Disconnected(6))));
-    }
-
-    #[test]
-    fn mpmc_delivers_every_message_exactly_once() {
-        const PRODUCERS: usize = 4;
-        const CONSUMERS: usize = 4;
-        const PER_PRODUCER: usize = 500;
-        let (tx, rx) = bounded(8);
-        let received: Vec<usize> = std::thread::scope(|scope| {
-            for p in 0..PRODUCERS {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    for i in 0..PER_PRODUCER {
-                        tx.send(p * PER_PRODUCER + i).unwrap();
-                    }
-                });
-            }
-            drop(tx);
-            let consumers: Vec<_> = (0..CONSUMERS)
-                .map(|_| {
-                    let rx = rx.clone();
-                    scope.spawn(move || {
-                        let mut got = Vec::new();
-                        while let Ok(v) = rx.recv() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            consumers
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        assert_eq!(received.len(), PRODUCERS * PER_PRODUCER);
-        let unique: HashSet<usize> = received.iter().copied().collect();
-        assert_eq!(unique.len(), PRODUCERS * PER_PRODUCER);
-    }
-
-    #[test]
-    fn blocking_send_resumes_when_capacity_frees() {
-        let (tx, rx) = bounded(1);
-        tx.send(0).unwrap();
-        std::thread::scope(|scope| {
-            scope.spawn(|| tx.send(1).unwrap()); // blocks until the recv below
-            assert_eq!(rx.recv().unwrap(), 0);
-            assert_eq!(rx.recv().unwrap(), 1);
-        });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scope_joins_all_threads() {
-        let counter = AtomicUsize::new(0);
-        crate::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|_| counter.fetch_add(1, Ordering::SeqCst));
-            }
-        })
-        .unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn spawn_returns_joinable_handles() {
-        let out: Vec<usize> = crate::thread::scope(|s| {
-            let handles: Vec<_> = (0..3).map(|i| s.spawn(move |_| i * 10)).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
-        assert_eq!(out, vec![0, 10, 20]);
-    }
-
-    #[test]
-    fn nested_spawn_through_scope_arg() {
-        let v = crate::thread::scope(|s| {
-            s.spawn(|s2| s2.spawn(|_| 7).join().unwrap())
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(v, 7);
-    }
-}
+//! Empty on purpose. The workspace uses std's `mpsc::sync_channel` and
+//! `thread::scope` in place of `crossbeam`, so this crate defines
+//! nothing. It stays only because the benchmark's lock file
+//! (`perfbench/Cargo.lock`, built with `--locked`) still lists
+//! `crossbeam` as a dependency of `autokernel-core` and
+//! `autokernel-sycl-sim`; the next change to the benchmark drops those
+//! edges and deletes this crate.

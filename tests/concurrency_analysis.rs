@@ -65,9 +65,9 @@ fn faithful_models_pass_exhaustively() {
 }
 
 /// The checker kills every seeded mutation — each weakened ordering,
-/// dropped notification, torn update or broken accounting step produces
-/// a concrete counterexample schedule. (The issue's bar is at least
-/// four; the suite carries eleven.)
+/// torn update, late reservation or broken accounting step produces a
+/// concrete counterexample schedule. (The bar is at least four; the
+/// suite carries nine across four models.)
 #[test]
 fn every_seeded_mutation_is_caught() {
     assert!(Mutation::ALL.len() >= 4);

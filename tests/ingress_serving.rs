@@ -20,7 +20,7 @@ use autokernel::gemm::GemmShape;
 use autokernel::sim::{DeviceSpec, FaultPlan, Queue};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Bounded cache: LRU safety, monotonicity, Bloom bound
@@ -408,6 +408,45 @@ fn overload_sheds_batch_work_before_the_queue_fills() {
         "a 4-slot queue under an 8-thread flood must shed batch work"
     );
     assert!(report.served > 0);
+}
+
+/// The dispatcher releases the queue occupancy it dequeues, so Batch
+/// work is admitted again once the queue drains. With capacity 4 and
+/// half kept free at most two Batch requests are queued at a time, so
+/// twenty admissions take at least ten dispatcher releases; an ingress
+/// that never released would shed every Batch request after the first
+/// two. The deadline only bounds a failing run.
+#[test]
+fn batch_admission_recovers_as_the_dispatcher_drains() {
+    let ingress = Ingress::start(
+        scheduler(bounded_fleet(128)),
+        IngressConfig {
+            queue_capacity: 4,
+            dispatch_chunk: 4,
+            tenant_quota: TenantQuota::default(),
+            batch_headroom: 0.5,
+        },
+    );
+    let give_up = Instant::now() + Duration::from_secs(30);
+    let mut admitted = 0u64;
+    let mut i = 0;
+    while admitted < 20 {
+        assert!(
+            Instant::now() < give_up,
+            "Batch work stayed shed after {admitted} admissions"
+        );
+        let batch = IngressRequest::new(request(i)).with_priority(Priority::Batch);
+        let outcome = ingress.submit(batch).expect("ingress is open");
+        if outcome.is_enqueued() {
+            admitted += 1;
+        } else {
+            std::thread::yield_now();
+        }
+        i += 1;
+    }
+    let (report, _) = ingress.finish().expect("dispatcher drains");
+    assert_eq!(report.served, admitted);
+    assert!(report.accounted());
 }
 
 /// A deadline that is already expired at submit is shed immediately

@@ -59,12 +59,12 @@ fn concurrent_selection_is_coherent_and_reconciles() {
         .map(|s| selector.select_shape(s).unwrap())
         .collect();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..THREADS {
             let cached = &cached;
             let shapes = &shapes;
             let expected = &expected;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..SELECTIONS_PER_THREAD {
                     let j = (t + i) % shapes.len();
                     let got = cached.select(&shapes[j]).unwrap();
@@ -75,8 +75,7 @@ fn concurrent_selection_is_coherent_and_reconciles() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let t = cached.telemetry();
     let total = (THREADS * SELECTIONS_PER_THREAD) as u64;
