@@ -25,17 +25,22 @@
 //! and fallback depths flow into [`SelectionTelemetry`] counters and
 //! into the [`LaunchDecision`] annotations a
 //! [`autokernel_sycl_sim::TraceRecorder`] renders.
+//!
+//! [`ResilientExecutor::launch_batch`] serves a coalesced batch of
+//! same-shape requests with one decision and one prepared launch of
+//! the primary kernel; everything above still happens per request.
 
-use crate::cache::CachedSelector;
+use crate::cache::{CachedSelector, SelectionOutcome};
 use crate::online::OnlineSelector;
 use crate::{CoreError, Result};
 use autokernel_analyze::SpaceAnalysis;
 use autokernel_gemm::{GemmShape, KernelConfig, ReferenceGemmKernel, TiledGemmKernel};
 use autokernel_sycl_sim::perf::deterministic_noise;
 use autokernel_sycl_sim::trace::{FallbackLevel, LaunchDecision, TraceRecorder};
-use autokernel_sycl_sim::{Buffer, Event, Queue, SimError};
+use autokernel_sycl_sim::{Buffer, Event, PreparedLaunch, Queue, SimError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Knobs for retry, breaker and deadline behaviour. The defaults suit
@@ -229,6 +234,17 @@ impl LaunchReport {
     }
 }
 
+/// One decision shared by the requests of a batch: the selector's
+/// outcome, the online generation it was made under, its shipped-set
+/// slot (for counting a reuse as a pick), and the primary's prepared
+/// launch once a request has needed it.
+struct BatchDecision {
+    outcome: SelectionOutcome,
+    generation: u64,
+    slot: u16,
+    primary: Option<autokernel_sycl_sim::Result<PreparedLaunch>>,
+}
+
 /// A [`CachedSelector`] + [`Queue`] wrapped with retry, per-config
 /// circuit breakers and a fallback chain. Shareable across threads by
 /// reference (`&self` everywhere; clone the operand [`Buffer`]s per
@@ -394,16 +410,109 @@ impl ResilientExecutor {
         b: &Buffer<f32>,
         c: &Buffer<f32>,
     ) -> Result<LaunchReport> {
+        let mut batch = self.decide(&shape)?;
+        self.serve(shape, &mut batch, a, b, c)
+    }
+
+    /// Serve a batch of same-`shape` requests, handing each request's
+    /// report to `each` in order; the batch stops after the request for
+    /// which `each` returns [`ControlFlow::Break`].
+    ///
+    /// The batch decides once and prepares its primary kernel's launch
+    /// once. A later request re-decides only where a per-request
+    /// [`ResilientExecutor::launch`] could answer differently: after a
+    /// decision that was not a cache hit (a miss, or an adaptive pick),
+    /// or once the online layer's generation has moved. A reused
+    /// decision counts as one cache hit and one pick. Everything else —
+    /// the kernel bound to the request's own operands, breakers,
+    /// retries under the deadline, fallback rungs and online feedback —
+    /// runs per request exactly as in `launch`, so a batch leaves the
+    /// same timeline, fault sequence, results and counters (decision
+    /// latency samples aside) as launching its requests one by one.
+    pub fn launch_batch<'r>(
+        &self,
+        shape: GemmShape,
+        operands: impl IntoIterator<Item = (&'r Buffer<f32>, &'r Buffer<f32>, &'r Buffer<f32>)>,
+        mut each: impl FnMut(LaunchReport) -> ControlFlow<()>,
+    ) -> Result<()> {
+        let mut batch: Option<BatchDecision> = None;
+        for (a, b, c) in operands {
+            let current = match batch.as_mut() {
+                Some(current) if self.still_holds(current) => {
+                    self.deciding_selector()
+                        .telemetry()
+                        .record_fast_hit(current.slot);
+                    current
+                }
+                _ => {
+                    let mut fresh = self.decide(&shape)?;
+                    if let Some(previous) = batch.take() {
+                        if previous.outcome.config_index == fresh.outcome.config_index {
+                            fresh.primary = previous.primary;
+                        }
+                    }
+                    batch.insert(fresh)
+                }
+            };
+            if each(self.serve(shape, current, a, b, c)?).is_break() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// The selector whose telemetry a decision is counted in.
+    fn deciding_selector(&self) -> &CachedSelector {
+        match &self.online {
+            Some(online) => online.cached(),
+            None => &self.selector,
+        }
+    }
+
+    /// Decide for `shape` through the online layer when one is
+    /// attached, else through the cached selector. The selector
+    /// generation is captured with the decision: any reward a launch
+    /// under it eventually produces belongs to *this* regime, and the
+    /// online layer discards it if drift resets in between.
+    fn decide(&self, shape: &GemmShape) -> Result<BatchDecision> {
+        let (outcome, generation) = match &self.online {
+            Some(online) => (online.select_outcome(shape)?, online.generation()),
+            None => (self.selector.select_outcome(shape)?, 0),
+        };
+        Ok(BatchDecision {
+            outcome,
+            generation,
+            slot: self
+                .deciding_selector()
+                .telemetry()
+                .shipped_slot(outcome.config_index),
+            primary: None,
+        })
+    }
+
+    /// Whether a per-request decision would repeat `batch`'s: it came
+    /// from the cache, and no drift has reset the selector since.
+    fn still_holds(&self, batch: &BatchDecision) -> bool {
+        batch.outcome.cache_hit
+            && self
+                .online
+                .as_ref()
+                .is_none_or(|online| online.generation() == batch.generation)
+    }
+
+    /// Serve one request under `batch`'s decision: the fallback chain,
+    /// with the primary's launch prepared once per decision.
+    fn serve(
+        &self,
+        shape: GemmShape,
+        batch: &mut BatchDecision,
+        a: &Buffer<f32>,
+        b: &Buffer<f32>,
+        c: &Buffer<f32>,
+    ) -> Result<LaunchReport> {
         let telemetry = self.selector.telemetry();
         telemetry.record_resilient_launch();
-        // Capture the selector generation with the decision: any reward
-        // this launch eventually produces belongs to *this* regime, and
-        // the online layer discards it if drift resets in between.
-        let (outcome, decision_generation) = match &self.online {
-            Some(online) => (online.select_outcome(&shape)?, online.generation()),
-            None => (self.selector.select_outcome(&shape)?, 0),
-        };
-        let primary = outcome.config_index;
+        let primary = batch.outcome.config_index;
 
         let deadline_s = self.queue.now_s() + self.policy.deadline_s;
         let mut failures: Vec<FailureRecord> = Vec::new();
@@ -424,6 +533,10 @@ impl ResilientExecutor {
                 KernelConfig::from_index(cfg_idx).ok_or(CoreError::BadConfigIndex(cfg_idx))?;
             let kernel = TiledGemmKernel::new(config, shape, a.clone(), b.clone(), c.clone())?;
             let range = kernel.preferred_range()?;
+            // Profile, price and name depend only on (shape, config,
+            // device): the primary keeps its prepared launch for the
+            // whole batch, a fallback candidate for its own attempts.
+            let mut fallback_launch = None;
             let mut backoff_s = self.policy.base_backoff_s;
 
             for attempt in 0..self.policy.max_attempts.max(1) {
@@ -433,7 +546,17 @@ impl ResilientExecutor {
                         break; // quarantined: next candidate
                     }
                 }
-                match self.queue.submit(&kernel, range) {
+                let prepared = if depth == 0 && primary_ok {
+                    &mut batch.primary
+                } else {
+                    &mut fallback_launch
+                };
+                let submitted =
+                    match prepared.get_or_insert_with(|| self.queue.prepare(&kernel, range)) {
+                        Ok(launch) => self.queue.submit_prepared(launch, &kernel, &[]),
+                        Err(error) => Err(error.clone()),
+                    };
+                match submitted {
                     Ok(event) => {
                         if let Some(breaker) = self.breakers.get(&cfg_idx) {
                             breaker.on_success();
@@ -443,7 +566,7 @@ impl ResilientExecutor {
                                 &shape,
                                 cfg_idx,
                                 event.duration_s(),
-                                decision_generation,
+                                batch.generation,
                             );
                         }
                         let fallback = if effective_depth == 0 {
@@ -452,7 +575,7 @@ impl ResilientExecutor {
                             telemetry.record_fallback_next_best();
                             FallbackLevel::NextBest(effective_depth.min(u8::MAX as usize) as u8)
                         };
-                        let decision = LaunchDecision::new(cfg_idx, outcome.cache_hit)
+                        let decision = LaunchDecision::new(cfg_idx, batch.outcome.cache_hit)
                             .with_resilience(failures.len() as u32, fallback);
                         return Ok(LaunchReport {
                             event,
@@ -482,7 +605,7 @@ impl ResilientExecutor {
                         };
                         let transient = error.is_transient();
                         if let Some(online) = &self.online {
-                            online.record_failure(&shape, cfg_idx, transient, decision_generation);
+                            online.record_failure(&shape, cfg_idx, transient, batch.generation);
                         }
                         failures.push(FailureRecord {
                             config_index: cfg_idx,
@@ -517,7 +640,7 @@ impl ResilientExecutor {
         let kernel = ReferenceGemmKernel::new(shape, a.clone(), b.clone(), c.clone())?;
         let range = kernel.preferred_range()?;
         let event = self.safe_queue.submit(&kernel, range)?;
-        let decision = LaunchDecision::new(primary, outcome.cache_hit)
+        let decision = LaunchDecision::new(primary, batch.outcome.cache_hit)
             .with_resilience(failures.len() as u32, FallbackLevel::Reference);
         Ok(LaunchReport {
             event,

@@ -13,9 +13,9 @@
 //!
 //! 1. **Batching** — same-shape requests are coalesced into one batch
 //!    (up to [`SchedConfig::batch_window`]). A batch routes once and
-//!    decides once: the first launch warms the owning shard's shape
-//!    cache, its siblings are O(1) hits, so the selector cost is
-//!    amortised over the whole batch.
+//!    is served by one [`ResilientExecutor::launch_batch`] call, which
+//!    decides once and prepares the primary kernel's launch once, so
+//!    selection and pricing are amortised over the whole batch.
 //! 2. **Routing** — a pluggable [`RoutingPolicy`]: round-robin,
 //!    least-loaded by in-flight simulated time (device clock plus the
 //!    wave's planned backlog), or perf-aware, which additionally
@@ -65,6 +65,7 @@ use autokernel_gemm::GemmShape;
 use autokernel_sycl_sim::trace::TraceRecorder;
 use autokernel_sycl_sim::{Buffer, Event, LaunchDecision, SimClock};
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// How the scheduler picks a device for each batch.
@@ -925,13 +926,21 @@ fn drain_queue(
     let mut outcome = WaveOutcome::empty();
     let mut consecutive_reference = 0u32;
     for (position, batch) in batches.iter().enumerate() {
-        for (offset, &request_index) in batch.requests.iter().enumerate() {
-            let request = requests.get(request_index).ok_or_else(|| {
-                CoreError::Dataset(format!("request index {request_index} out of range"))
-            })?;
-            let report = executor.launch(request.shape, &request.a, &request.b, &request.c)?;
+        if let Some(&bad) = batch.requests.iter().find(|&&i| i >= requests.len()) {
+            return Err(CoreError::Dataset(format!(
+                "request index {bad} out of range"
+            )));
+        }
+        let members = batch
+            .requests
+            .iter()
+            .filter_map(|&i| requests.get(i))
+            .map(|request| (&request.a, &request.b, &request.c));
+        let mut served_in_batch = 0usize;
+        executor.launch_batch(batch.shape, members, |report| {
+            served_in_batch += 1;
             outcome.served += 1;
-            outcome.flops_done += request.shape.flops();
+            outcome.flops_done += batch.shape.flops();
             if is_reference(&report) {
                 outcome.reference_fallbacks += 1;
                 consecutive_reference += 1;
@@ -947,21 +956,30 @@ fn drain_queue(
                 outcome.trace.push((report.event, Some(report.decision)));
             }
             if consecutive_reference >= meltdown_threshold {
-                outcome.melted = true;
-                let remaining: Vec<usize> =
-                    batch.requests.iter().skip(offset + 1).copied().collect();
-                if !remaining.is_empty() {
-                    outcome.leftovers.push(Batch {
-                        shape: batch.shape,
-                        class: batch.class,
-                        requests: remaining,
-                    });
-                }
-                outcome
-                    .leftovers
-                    .extend(batches.iter().skip(position + 1).cloned());
-                return Ok(outcome);
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
+        })?;
+        if consecutive_reference >= meltdown_threshold {
+            outcome.melted = true;
+            let remaining: Vec<usize> = batch
+                .requests
+                .iter()
+                .skip(served_in_batch)
+                .copied()
+                .collect();
+            if !remaining.is_empty() {
+                outcome.leftovers.push(Batch {
+                    shape: batch.shape,
+                    class: batch.class,
+                    requests: remaining,
+                });
+            }
+            outcome
+                .leftovers
+                .extend(batches.iter().skip(position + 1).cloned());
+            return Ok(outcome);
         }
         outcome.batches_done += 1;
     }
@@ -1231,6 +1249,40 @@ mod tests {
         assert!(sched.is_healthy(1));
         let healthy = &report.devices[1];
         assert!(healthy.served > 12, "survivor absorbed re-routed traffic");
+    }
+
+    #[test]
+    fn meltdown_mid_batch_hands_the_unserved_tail_to_a_survivor() {
+        let doomed_queue = Queue::timing_only(Arc::new(DeviceSpec::amd_r9_nano()))
+            .with_fault_plan(Arc::new(FaultPlan::new(5).doom_kernels_matching("gemm_T")));
+        let doomed_exec = pipeline()
+            .device_executor(doomed_queue, ResilientPolicy::default())
+            .unwrap();
+        let mut sched = ShardedScheduler::new(
+            vec![
+                DeviceShard::new("doomed", doomed_exec),
+                shard_on(DeviceSpec::amd_r9_nano(), "healthy"),
+            ],
+            SchedConfig {
+                policy: RoutingPolicy::RoundRobin,
+                meltdown_threshold: 3,
+                ..SchedConfig::default()
+            },
+        )
+        .unwrap();
+        // One batch of eight, routed to the doomed shard first.
+        let shape = shapes()[0].0;
+        let stream: Vec<GemmRequest> = (0..8).map(|_| GemmRequest::zeroed(shape)).collect();
+        let report = sched.serve(&stream).unwrap();
+        assert_eq!(report.served, 8);
+        assert_eq!(report.dropped, 0);
+        assert_eq!(report.devices[0].served, 3, "the batch stops at meltdown");
+        assert_eq!(report.devices[0].reference_fallbacks, 3);
+        assert_eq!(
+            report.devices[1].served, 5,
+            "the tail moves to the survivor"
+        );
+        assert!(!sched.is_healthy(0));
     }
 
     #[test]

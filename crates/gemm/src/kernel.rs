@@ -15,6 +15,7 @@ use autokernel_sycl_sim::perf::KernelProfile;
 use autokernel_sycl_sim::runtime::{Buffer, NDRange, SimKernel};
 use autokernel_sycl_sim::{DeviceSpec, Result, SimError};
 use rayon::prelude::*;
+use std::fmt::Write;
 
 /// A launchable tiled GEMM `C = A · B` for one configuration.
 pub struct TiledGemmKernel {
@@ -72,7 +73,11 @@ impl TiledGemmKernel {
 
 impl SimKernel for TiledGemmKernel {
     fn name(&self) -> String {
-        format!("gemm_{}_{}", self.config, self.shape)
+        // One allocation: `format!` starts from a 12-byte guess and
+        // grows twice on a typical name.
+        let mut name = String::with_capacity(64);
+        let _ = write!(name, "gemm_{}_{}", self.config, self.shape);
+        name
     }
 
     fn profile(&self, device: &DeviceSpec, _range: &NDRange) -> KernelProfile {
@@ -89,6 +94,9 @@ impl SimKernel for TiledGemmKernel {
         let a = self.a.read();
         let b = self.b.read();
         let mut c = self.c.write();
+        if c.is_empty() {
+            return Ok(()); // an empty product has nothing to write
+        }
 
         // One "row of work-items" covers `tr` rows of C; distribute those
         // row-bands over the thread pool (the simulated device instead

@@ -5,6 +5,7 @@ use autokernel_sycl_sim::perf::KernelProfile;
 use autokernel_sycl_sim::runtime::{Buffer, NDRange, SimKernel};
 use autokernel_sycl_sim::{DeviceSpec, Result, SimError};
 use rayon::prelude::*;
+use std::fmt::Write;
 
 /// Straightforward row-major reference: `C = A · B`.
 ///
@@ -41,6 +42,9 @@ pub fn parallel_reference_gemm(shape: GemmShape, a: &[f32], b: &[f32], c: &mut [
     debug_assert_eq!(b.len(), shape.k * shape.n);
     debug_assert_eq!(c.len(), shape.m * shape.n);
     let (k, n) = (shape.k, shape.n);
+    if c.is_empty() {
+        return; // an empty product has nothing to write
+    }
     c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
         crow.fill(0.0);
         for p in 0..k {
@@ -117,7 +121,10 @@ impl ReferenceGemmKernel {
 
 impl SimKernel for ReferenceGemmKernel {
     fn name(&self) -> String {
-        format!("gemm_reference_{}", self.shape)
+        // One allocation, as in `TiledGemmKernel::name`.
+        let mut name = String::with_capacity(64);
+        let _ = write!(name, "gemm_reference_{}", self.shape);
+        name
     }
 
     fn profile(&self, _device: &DeviceSpec, _range: &NDRange) -> KernelProfile {

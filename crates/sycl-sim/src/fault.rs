@@ -5,9 +5,10 @@
 //! fail transiently under driver pressure, devices that drop off the
 //! bus, kernels that hang past their deadline, and configurations whose
 //! register/LDS appetite starves the scheduler. A [`FaultPlan`] injects
-//! exactly those failure modes at [`crate::Queue::submit`] time —
-//! deterministically, from a seed, so every test run and trace is
-//! reproducible.
+//! exactly those failure modes at submit time
+//! ([`crate::Queue::submit_prepared`], which every submission goes
+//! through) — deterministically, from a seed, so every test run and
+//! trace is reproducible.
 //!
 //! Determinism model: the plan keeps a submission counter; the fault
 //! decision for submission *n* of kernel *k* is a pure hash of

@@ -191,7 +191,9 @@ pub fn validate_launch(
 /// of a SYCL event with `info::event_profiling`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    kernel_name: String,
+    /// Shared with the [`PreparedLaunch`] the event came from, so every
+    /// launch of one prepared kernel names it without a copy.
+    kernel_name: Arc<str>,
     start_s: f64,
     end_s: f64,
     cost: KernelCost,
@@ -203,7 +205,7 @@ impl Event {
     /// device clock with a zeroed cost breakdown (nothing useful ran).
     pub fn failed(kernel_name: String, start_s: f64, end_s: f64, kind: FaultKind) -> Self {
         Event {
-            kernel_name,
+            kernel_name: kernel_name.into(),
             start_s,
             end_s,
             cost: KernelCost::default(),
@@ -245,6 +247,21 @@ impl Event {
     pub fn kernel_name(&self) -> &str {
         &self.kernel_name
     }
+}
+
+/// A launch with every operand-independent step already done: the
+/// kernel's profile passed [`validate_launch`], and its occupancy,
+/// priced cost and duration, and name are computed. Built by
+/// [`Queue::prepare`] and consumed by [`Queue::submit_prepared`] on
+/// the same queue, any number of times: a batch of same-shape requests
+/// prepares its kernel once and submits it once per request.
+#[derive(Debug)]
+pub struct PreparedLaunch {
+    name: Arc<str>,
+    range: NDRange,
+    occupancy: f64,
+    cost: KernelCost,
+    duration_s: f64,
 }
 
 /// A device execution context: queues created from the same context
@@ -418,12 +435,48 @@ impl Queue {
         range: NDRange,
         deps: &[Event],
     ) -> Result<Event> {
+        let launch = self.prepare(kernel, range)?;
+        self.submit_prepared(&launch, kernel, deps)
+    }
+
+    /// The operand-independent half of a submission: profile `kernel`
+    /// over `range`, reject it if the device cannot launch it, and
+    /// compute its occupancy, priced duration and name. No side
+    /// effects: the clock does not move and an attached fault plan
+    /// counts no submission, so a launch `validate_launch` rejects
+    /// never reaches the plan.
+    pub fn prepare(&self, kernel: &dyn SimKernel, range: NDRange) -> Result<PreparedLaunch> {
         let profile = kernel.profile(&self.device, &range);
         validate_launch(&self.device, &profile, &range)?;
+        let occupancy = perf::occupancy(&self.device, &profile, &range);
+        let (cost, duration_s) = self.price_unchecked(&profile, &range, kernel.noise_seed());
+        Ok(PreparedLaunch {
+            name: kernel.name().into(),
+            range,
+            occupancy,
+            cost,
+            duration_s,
+        })
+    }
+
+    /// The operand-dependent half of a submission: the fault plan
+    /// adjudicates the launch, an executing queue runs `kernel`'s body,
+    /// and the clock advances by the prepared duration.
+    ///
+    /// `launch` must come from [`Queue::prepare`] on this queue, and
+    /// `kernel` supplies only the body: it must be the kernel `launch`
+    /// was prepared from, or one that differs from it only in its
+    /// operand buffers. Profile, price and name are taken from
+    /// `launch` and never recomputed.
+    pub fn submit_prepared(
+        &self,
+        launch: &PreparedLaunch,
+        kernel: &dyn SimKernel,
+        deps: &[Event],
+    ) -> Result<Event> {
         if let Some(plan) = &self.fault_plan {
-            let occupancy = perf::occupancy(&self.device, &profile, &range);
-            let name = kernel.name();
-            if let Some((kind, consumed, submission)) = plan.decide(&name, occupancy, &self.device)
+            if let Some((kind, consumed, submission)) =
+                plan.decide(&launch.name, launch.occupancy, &self.device)
             {
                 // The failed launch still occupies the device: charge
                 // the consumed time to the shared clock so retries and
@@ -434,7 +487,7 @@ impl Queue {
                 *clock = start + consumed;
                 return Err(SimError::Fault(FaultError {
                     kind,
-                    kernel: name,
+                    kernel: launch.name.to_string(),
                     submission,
                     at_s: start,
                     consumed_s: consumed,
@@ -442,20 +495,19 @@ impl Queue {
             }
         }
         if self.execute_host {
-            kernel.execute(&range)?;
+            kernel.execute(&launch.range)?;
         }
-        let (cost, duration) = self.price_unchecked(&profile, &range, kernel.noise_seed());
 
         let mut clock = self.clock_s.lock();
         let dep_end = deps.iter().map(|e| e.end_s).fold(0.0f64, f64::max);
         let start = clock.max(dep_end);
-        let end = start + duration;
+        let end = start + launch.duration_s;
         *clock = end;
         Ok(Event {
-            kernel_name: kernel.name(),
+            kernel_name: Arc::clone(&launch.name),
             start_s: start,
             end_s: end,
-            cost,
+            cost: launch.cost,
             status: CompletionStatus::Complete,
         })
     }
@@ -478,8 +530,9 @@ impl Queue {
         Ok(self.price_unchecked(profile, range, noise_seed))
     }
 
-    /// Price without re-validating: the submit path calls this after its
-    /// own `validate_launch` so the check runs exactly once per launch.
+    /// Price without re-validating: [`Queue::prepare`] calls this after
+    /// its own `validate_launch` so the check runs exactly once per
+    /// launch.
     ///
     /// Public for counterfactual accounting only (e.g. "what would the
     /// un-pruned benchmark sweep have charged for this entry"): the
@@ -786,6 +839,65 @@ mod tests {
             let b = guarded.submit(&k, r).unwrap();
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn prepare_has_no_side_effects() {
+        let platform = Platform::standard();
+        let dev = platform.device_by_name("nano").unwrap();
+        let plan = Arc::new(FaultPlan::new(5).with_transient_rate(0.5));
+        let queue = Queue::timing_only(dev).with_fault_plan(plan.clone());
+        let k = DoubleKernel {
+            buf: Buffer::from_vec(vec![0.0f32; 64]),
+        };
+        queue
+            .prepare(&k, NDRange::new([64, 1], [64, 1]).unwrap())
+            .unwrap();
+        assert_eq!(queue.now_s(), 0.0, "preparing must not move the clock");
+        assert_eq!(
+            plan.submissions(),
+            0,
+            "preparing must not count a submission"
+        );
+        // A launch validation rejects never reaches the fault plan.
+        let too_big = NDRange::new([512, 1], [512, 1]).unwrap();
+        assert!(matches!(
+            queue.submit(&k, too_big),
+            Err(SimError::Exhausted(_))
+        ));
+        assert_eq!(plan.submissions(), 0);
+    }
+
+    #[test]
+    fn one_prepared_launch_serves_many_operand_sets() {
+        let platform = Platform::standard();
+        let dev = platform.device_by_name("nano").unwrap();
+        let plan = || Arc::new(FaultPlan::new(11).with_transient_rate(0.4));
+        let plain = Queue::new(dev.clone()).with_fault_plan(plan());
+        let prepared = Queue::new(dev).with_fault_plan(plan());
+        let r = NDRange::new([64, 1], [64, 1]).unwrap();
+        let first = DoubleKernel {
+            buf: Buffer::from_vec(vec![1.0f32; 64]),
+        };
+        let launch = prepared.prepare(&first, r).unwrap();
+        for i in 0..12 {
+            let fill = i as f32;
+            let a = DoubleKernel {
+                buf: Buffer::from_vec(vec![fill; 64]),
+            };
+            let b = DoubleKernel {
+                buf: Buffer::from_vec(vec![fill; 64]),
+            };
+            let want = plain.submit(&a, r);
+            let got = prepared.submit_prepared(&launch, &b, &[]);
+            assert_eq!(want, got, "submission {i}");
+            assert_eq!(
+                a.buf.to_vec(),
+                b.buf.to_vec(),
+                "body ran on its own operands"
+            );
+        }
+        assert_eq!(plain.now_s().to_bits(), prepared.now_s().to_bits());
     }
 
     #[test]

@@ -549,3 +549,30 @@ fn ingress_over_poisoned_fleet_completes_and_reports_degradation() {
     assert!(report.accounted());
     assert!(report.fleet_degraded, "degradation must be surfaced");
 }
+
+/// A request whose `C` is empty (4×4×0) reaches a kernel body on an
+/// executing fleet. It must complete like any other request rather
+/// than take the dispatcher down, and the request behind it must still
+/// be served.
+#[test]
+fn zero_width_request_does_not_kill_the_dispatcher() {
+    let queue = Queue::new(Arc::new(DeviceSpec::amd_r9_nano()));
+    let executor = pipeline()
+        .device_executor(queue, ResilientPolicy::default())
+        .unwrap();
+    let ingress = Ingress::start(
+        scheduler(vec![DeviceShard::new("nano", executor)]),
+        IngressConfig::default(),
+    );
+    for shape in [GemmShape::new(4, 4, 0), GemmShape::new(16, 8, 12)] {
+        let outcome = ingress
+            .submit(IngressRequest::new(GemmRequest::zeroed(shape)))
+            .expect("ingress is open");
+        assert!(outcome.is_enqueued());
+    }
+    let (report, _) = ingress
+        .finish()
+        .expect("the dispatcher survives an empty product");
+    assert_eq!(report.served, 2);
+    assert!(report.accounted());
+}

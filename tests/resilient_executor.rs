@@ -1,17 +1,25 @@
 //! Integration tests of the resilient execution layer: the circuit
 //! breaker's state machine under arbitrary event sequences, the
 //! executor under 8-thread traffic with injected faults, the acceptance
-//! scenario over the full 170-shape paper dataset, and bit-identity of
-//! the zero-fault path with plain submission.
+//! scenario over the full 170-shape paper dataset, bit-identity of
+//! the zero-fault path with plain submission, and batched launches
+//! against the same requests launched one by one.
 
-use autokernel::core::resilient::{BreakerState, CircuitBreaker, ResilientPolicy};
-use autokernel::core::{PerformanceDataset, PipelineConfig, TuningPipeline};
+use autokernel::core::cache::BoundedCacheConfig;
+use autokernel::core::resilient::{
+    BreakerState, CircuitBreaker, LaunchReport, ResilientExecutor, ResilientPolicy,
+};
+use autokernel::core::{
+    OnlineConfig, OnlineSelector, PerformanceDataset, PipelineConfig, TuningPipeline,
+};
 use autokernel::gemm::reference::{max_abs_diff, reference_gemm, test_matrices};
 use autokernel::gemm::{GemmShape, TiledGemmKernel};
 use autokernel::sim::fault::FaultPlan;
 use autokernel::sim::trace::{FallbackLevel, TraceRecorder};
-use autokernel::sim::{Buffer, Context, DeviceSpec, Queue};
+use autokernel::sim::{Buffer, Context, DeviceSpec, Event, Queue};
 use proptest::prelude::*;
+use proptest::TestCaseError;
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 /// The paper dataset, collected once for the whole test binary.
@@ -57,7 +65,10 @@ fn pipeline_over(dataset: &PerformanceDataset) -> TuningPipeline {
         .expect("pipeline trains")
 }
 
-fn operand_buffers(shape: GemmShape, seed: u64) -> (Buffer<f32>, Buffer<f32>, Buffer<f32>) {
+/// One request's `A`, `B` and `C`.
+type Operands = (Buffer<f32>, Buffer<f32>, Buffer<f32>);
+
+fn operand_buffers(shape: GemmShape, seed: u64) -> Operands {
     let (a, b) = test_matrices(shape, seed);
     (
         Buffer::from_vec(a),
@@ -292,4 +303,301 @@ fn zero_fault_plan_is_bit_identical_to_plain_submission() {
             "results must be bit-identical on {shape}"
         );
     }
+}
+
+/// Shapes with an empty `C` (4×4×0, 0×4×4) or an empty reduction
+/// (4×0×4) run their kernel bodies on an executing queue and complete
+/// with the product `reference_gemm` computes: nothing, or zeros.
+#[test]
+fn zero_width_shapes_complete_with_the_reference_product() {
+    let pipeline = pipeline_over(small_dataset());
+    let queue = Queue::new(Arc::new(DeviceSpec::amd_r9_nano()));
+    let executor = pipeline.resilient_executor(queue, ResilientPolicy::default());
+    for (m, k, n) in [(4, 4, 0), (0, 4, 4), (4, 0, 4)] {
+        let shape = GemmShape::new(m, k, n);
+        let (a, b, _) = operand_buffers(shape, 3);
+        let c = Buffer::new_filled(m * n, f32::NAN);
+        let report = executor
+            .launch(shape, &a, &b, &c)
+            .unwrap_or_else(|e| panic!("{shape} must complete: {e}"));
+        assert!(!report.event.is_failed());
+        let mut expect = vec![f32::NAN; m * n];
+        reference_gemm(shape, &a.to_vec(), &b.to_vec(), &mut expect);
+        assert_eq!(c.to_vec(), expect, "{shape}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batched launches against per-request launches
+// ---------------------------------------------------------------------------
+
+/// Shapes the differential replays draw batches from.
+const DIFF_POOL: [(usize, usize, usize); 8] = [
+    (64, 64, 64),
+    (512, 512, 512),
+    (196, 2304, 256),
+    (3136, 144, 24),
+    (49, 960, 160),
+    (784, 1152, 128),
+    (2, 2048, 1000),
+    (100, 37, 53),
+];
+
+fn diff_shape(index: usize) -> GemmShape {
+    let (m, k, n) = DIFF_POOL[index % DIFF_POOL.len()];
+    GemmShape::new(m, k, n)
+}
+
+/// One shared pipeline for the differential tests: every replica gets
+/// its own cache, telemetry and breakers from `device_executor`.
+fn diff_pipeline() -> &'static TuningPipeline {
+    static PIPELINE: OnceLock<TuningPipeline> = OnceLock::new();
+    PIPELINE.get_or_init(|| pipeline_over(small_dataset()))
+}
+
+/// Zeroed operands per pool shape. The replays run on timing-only
+/// queues, so no body reads or writes them.
+fn diff_operands() -> &'static [Operands] {
+    static OPERANDS: OnceLock<Vec<Operands>> = OnceLock::new();
+    OPERANDS.get_or_init(|| {
+        (0..DIFF_POOL.len())
+            .map(|i| {
+                let shape = diff_shape(i);
+                (
+                    Buffer::new_filled(shape.m * shape.k, 0.0f32),
+                    Buffer::new_filled(shape.k * shape.n, 0.0f32),
+                    Buffer::new_filled(shape.m * shape.n, 0.0f32),
+                )
+            })
+            .collect()
+    })
+}
+
+/// The shipped configuration the selector picks most often over the
+/// pool: dooming it guarantees primary-path failures.
+fn most_picked_config() -> String {
+    let mut counts = std::collections::HashMap::new();
+    for i in 0..DIFF_POOL.len() {
+        let config = diff_pipeline().select(&diff_shape(i)).expect("selects");
+        *counts.entry(config.to_string()).or_insert(0usize) += 1;
+    }
+    let (config, _) = counts
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        .expect("non-empty pool");
+    config
+}
+
+/// A timing-only queue with transient faults, one doomed shipped
+/// configuration and a fault onset. Each call builds its own plan, so
+/// two replicas count submissions independently.
+fn faulty_queue(seed: u64, onset: u64) -> Queue {
+    let plan = FaultPlan::new(seed)
+        .with_transient_rate(0.2)
+        .doom_kernels_matching(format!("gemm_{}_", most_picked_config()))
+        .with_onset(onset);
+    Queue::timing_only(Arc::new(DeviceSpec::amd_r9_nano())).with_fault_plan(Arc::new(plan))
+}
+
+/// Serve `batches` through `launch_batch`, one call per batch. `after`
+/// sees each report's position in its batch and the batch size.
+fn serve_batched(
+    executor: &ResilientExecutor,
+    batches: &[(usize, usize)],
+    mut after: impl FnMut(usize, usize),
+) -> Vec<LaunchReport> {
+    let mut reports = Vec::new();
+    for &(pool_index, size) in batches {
+        let (a, b, c) = &diff_operands()[pool_index];
+        let mut position = 0;
+        executor
+            .launch_batch(
+                diff_shape(pool_index),
+                std::iter::repeat_n((a, b, c), size),
+                |report| {
+                    reports.push(report);
+                    after(position, size);
+                    position += 1;
+                    ControlFlow::Continue(())
+                },
+            )
+            .expect("a batch always completes");
+    }
+    reports
+}
+
+/// Serve the same requests through one `launch` each.
+fn serve_one_by_one(executor: &ResilientExecutor, batches: &[(usize, usize)]) -> Vec<LaunchReport> {
+    let mut reports = Vec::new();
+    for &(pool_index, size) in batches {
+        let (a, b, c) = &diff_operands()[pool_index];
+        for _ in 0..size {
+            let report = executor
+                .launch(diff_shape(pool_index), a, b, c)
+                .expect("a launch always completes");
+            reports.push(report);
+        }
+    }
+    reports
+}
+
+fn same_event(a: &Event, b: &Event) -> bool {
+    a.kernel_name() == b.kernel_name()
+        && a.start_s().to_bits() == b.start_s().to_bits()
+        && a.end_s().to_bits() == b.end_s().to_bits()
+        && a.status() == b.status()
+}
+
+fn assert_same_reports(
+    batched: &[LaunchReport],
+    single: &[LaunchReport],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(batched.len(), single.len());
+    for (i, (x, y)) in batched.iter().zip(single).enumerate() {
+        prop_assert!(
+            same_event(&x.event, &y.event),
+            "request {}: {:?} vs {:?}",
+            i,
+            x.event,
+            y.event
+        );
+        prop_assert_eq!(x.decision, y.decision, "request {}", i);
+        prop_assert_eq!(x.config, y.config, "request {}", i);
+        prop_assert_eq!(x.failures.len(), y.failures.len(), "request {}", i);
+        for (f, g) in x.failures.iter().zip(&y.failures) {
+            prop_assert_eq!(f.config_index, g.config_index, "request {}", i);
+            prop_assert_eq!(&f.error, &g.error, "request {}", i);
+            let events_match = match (&f.event, &g.event) {
+                (Some(e), Some(h)) => same_event(e, h),
+                (None, None) => true,
+                _ => false,
+            };
+            prop_assert!(events_match, "request {}: failure events differ", i);
+        }
+    }
+    Ok(())
+}
+
+/// Every telemetry counter, with the wall-clock decision latencies
+/// (which no two runs share) zeroed.
+fn counters(executor: &ResilientExecutor) -> String {
+    let mut snapshot = executor.selector().telemetry().snapshot();
+    snapshot.mean_hit_nanos = 0.0;
+    snapshot.mean_miss_nanos = 0.0;
+    snapshot.decision_p50_ns = 0.0;
+    snapshot.decision_p99_ns = 0.0;
+    serde_json::to_string(&snapshot).expect("telemetry serialises")
+}
+
+fn assert_same_state(
+    batched: &ResilientExecutor,
+    single: &ResilientExecutor,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        batched.queue().now_s().to_bits(),
+        single.queue().now_s().to_bits()
+    );
+    prop_assert_eq!(batched.ranking(), single.ranking());
+    for config in 0..640 {
+        prop_assert_eq!(
+            batched.breaker_state(config),
+            single.breaker_state(config),
+            "breaker of config {}",
+            config
+        );
+    }
+    prop_assert_eq!(counters(batched), counters(single));
+    let (x, y) = (batched.selector().cache(), single.selector().cache());
+    prop_assert_eq!(x.footprint(), y.footprint());
+    prop_assert_eq!(x.evictions(), y.evictions());
+    prop_assert_eq!(x.admission_rejects(), y.admission_rejects());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A batch launches exactly what its requests launched one by one
+    /// would: the same events on the same timeline, the same decisions,
+    /// fallbacks and absorbed failures, and afterwards the same
+    /// breakers, clock and counters.
+    #[test]
+    fn batched_launches_match_per_request_launches(
+        batches in proptest::collection::vec((0..DIFF_POOL.len(), 1usize..=6), 1..=16),
+        seed in 0u64..1000,
+        onset in 0u64..24,
+        bounded in any::<bool>(),
+    ) {
+        // The bounded cache holds four shapes and admits a shape on its
+        // second miss, so batches also replay misses the cache refused
+        // to memoise and decisions it evicted.
+        let build = || {
+            let queue = faulty_queue(seed, onset);
+            let policy = ResilientPolicy::default();
+            let cache = BoundedCacheConfig {
+                capacity: 4,
+                admit_threshold: 2,
+                ..BoundedCacheConfig::default()
+            };
+            if bounded {
+                diff_pipeline().device_bounded_executor(queue, policy, cache)
+            } else {
+                diff_pipeline().device_executor(queue, policy)
+            }
+            .expect("executor builds")
+        };
+        let (batched, single) = (build(), build());
+        let batched_reports = serve_batched(&batched, &batches, |_, _| {});
+        let single_reports = serve_one_by_one(&single, &batches);
+        assert_same_reports(&batched_reports, &single_reports)?;
+        assert_same_state(&batched, &single)?;
+        let telemetry = batched.selector().telemetry();
+        prop_assert_eq!(
+            telemetry.hits() + telemetry.misses(),
+            telemetry.resilient_launches(),
+            "every launch counts one decision"
+        );
+    }
+}
+
+/// The same equivalence with an online layer whose drift detector trips
+/// in the middle of a batch: the requests after the trip must take the
+/// adaptive stage's picks, exactly as per-request launches do.
+#[test]
+fn batched_launches_match_per_request_launches_across_a_drift_trip() {
+    let config = OnlineConfig {
+        fault_slowdown: 12.0,
+        ..OnlineConfig::default()
+    };
+    let build = |seed: u64| -> (ResilientExecutor, Arc<OnlineSelector>) {
+        diff_pipeline()
+            .device_adaptive_executor(faulty_queue(seed, 4), ResilientPolicy::default(), config)
+            .expect("executor builds")
+    };
+    let batches: Vec<(usize, usize)> = (0..24).map(|i| (i % DIFF_POOL.len(), 6)).collect();
+    let mut tripped_mid_batch = 0;
+    for seed in 0..4 {
+        let (batched, batched_online) = build(seed);
+        let (single, single_online) = build(seed);
+        let mut generation = batched_online.generation();
+        let batched_reports = serve_batched(&batched, &batches, |position, size| {
+            let now = batched_online.generation();
+            if now != generation && position + 1 < size {
+                tripped_mid_batch += 1;
+            }
+            generation = now;
+        });
+        let single_reports = serve_one_by_one(&single, &batches);
+        assert_same_reports(&batched_reports, &single_reports).unwrap();
+        assert_same_state(&batched, &single).unwrap();
+        assert_eq!(batched_online.generation(), single_online.generation());
+        assert_eq!(
+            serde_json::to_string(&batched_online.stats()).unwrap(),
+            serde_json::to_string(&single_online.stats()).unwrap()
+        );
+    }
+    assert!(
+        tripped_mid_batch > 0,
+        "the scenario must trip drift in the middle of a batch"
+    );
 }

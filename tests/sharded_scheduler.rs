@@ -1,16 +1,18 @@
 //! Integration tests for the sharded serving scheduler: routing must be
 //! a pure function of the stream, the seed and the shard configuration
-//! — and of nothing a trace recorder does — and a device failing
-//! mid-stream must drain to the survivors without dropping a request.
+//! — and of nothing a trace recorder does — a device failing
+//! mid-stream must drain to the survivors without dropping a request,
+//! and every member of a coalesced batch must compute its own product.
 
 use autokernel::core::resilient::ResilientPolicy;
 use autokernel::core::sched::{
     DeviceShard, GemmRequest, RoutingPolicy, SchedConfig, SchedReport, ShardedScheduler,
 };
 use autokernel::core::{PerformanceDataset, PipelineConfig, TuningPipeline};
+use autokernel::gemm::reference::{reference_gemm, test_matrices};
 use autokernel::gemm::GemmShape;
 use autokernel::sim::trace::TraceRecorder;
-use autokernel::sim::{DeviceSpec, FaultPlan, Queue};
+use autokernel::sim::{Buffer, DeviceSpec, FaultPlan, Queue};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::sync::{Arc, OnceLock};
@@ -292,4 +294,71 @@ fn scheduler_keeps_serving_after_a_drain() {
         report.devices[0].served, 0,
         "a drained shard receives no traffic in later streams"
     );
+}
+
+/// Coalesced batches share one decision and one prepared launch, but
+/// each member runs the kernel on its own operands, on every rung. One
+/// shard dooms the shape's primary pick, so its batches fall back to
+/// next-best configurations; the other dooms every tiled kernel, so
+/// its batches run the reference GEMM. Each `C` starts as NaN and must
+/// end as its own product.
+#[test]
+fn every_member_of_a_coalesced_batch_computes_its_own_product() {
+    let shape = GemmShape::new(48, 40, 56);
+    let primary = pipeline().select(&shape).unwrap();
+    let shard = |label: &str, doomed: String| {
+        let queue = Queue::new(Arc::new(DeviceSpec::amd_r9_nano()))
+            .with_fault_plan(Arc::new(FaultPlan::new(3).doom_kernels_matching(doomed)));
+        let executor = pipeline()
+            .device_executor(queue, ResilientPolicy::default())
+            .unwrap();
+        DeviceShard::new(label, executor)
+    };
+    let mut sched = ShardedScheduler::new(
+        vec![
+            shard("next-best", format!("gemm_{primary}_")),
+            shard("reference", "gemm_T".to_string()),
+        ],
+        SchedConfig {
+            policy: RoutingPolicy::RoundRobin,
+            batch_window: 4,
+            meltdown_threshold: 64,
+            ..SchedConfig::default()
+        },
+    )
+    .unwrap();
+    let stream: Vec<GemmRequest> = (0..16)
+        .map(|i| {
+            let (a, b) = test_matrices(shape, 100 + i);
+            GemmRequest::new(
+                shape,
+                Buffer::from_vec(a),
+                Buffer::from_vec(b),
+                Buffer::new_filled(shape.m * shape.n, f32::NAN),
+            )
+        })
+        .collect();
+    let report = sched.serve(&stream).unwrap();
+
+    assert_eq!(report.served, stream.len());
+    assert!(
+        sched.telemetry().batched > 0,
+        "same-shape requests must coalesce"
+    );
+    assert!(report.devices.iter().all(|d| d.served > 0));
+    let next_best = sched.shard(0).unwrap().executor().selector().telemetry();
+    assert!(next_best.fallback_next_best() > 0, "next-best rung ran");
+    assert!(
+        report.devices[1].reference_fallbacks > 0,
+        "reference rung ran"
+    );
+    for (i, request) in stream.iter().enumerate() {
+        let mut expect = vec![0.0f32; shape.m * shape.n];
+        reference_gemm(shape, &request.a.to_vec(), &request.b.to_vec(), &mut expect);
+        let got = request.c.to_vec();
+        assert!(
+            got.iter().zip(&expect).all(|(x, y)| (x - y).abs() < 1e-4),
+            "request {i} did not compute its own product"
+        );
+    }
 }
