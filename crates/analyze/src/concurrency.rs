@@ -55,11 +55,10 @@ use std::path::Path;
 pub const TOOL_NAME: &str = "concurrency-auditor";
 
 /// The audited modules: `(label, workspace-relative path)`. Five core
-/// serving modules and the decide hot path, plus the hand-rolled
-/// `parking_lot` synchronisation shim.
-pub const AUDIT_TARGETS: [(&str, &str); 7] = [
+/// serving modules plus the hand-rolled `parking_lot` synchronisation
+/// shim.
+pub const AUDIT_TARGETS: [(&str, &str); 6] = [
     ("core::cache", "crates/core/src/cache.rs"),
-    ("core::decide", "crates/core/src/decide.rs"),
     ("core::ingress", "crates/core/src/ingress.rs"),
     ("core::online", "crates/core/src/online.rs"),
     ("core::sched", "crates/core/src/sched.rs"),

@@ -203,42 +203,6 @@ const MANIFEST: &[(&str, &str, Direction, f64)] = &[
         Direction::LowerBetter,
         TIMING_TOLERANCE,
     ),
-    // micro_decide: the sub-20 ns decision hot path. Wall-clock numbers
-    // sit in the wide timing band (shared runners swing), but the op
-    // proxies — table probes + atomic RMWs per pick — are deterministic
-    // functions of the code, so they get the tight band: a regression
-    // that hides inside the 300 % wall-clock tolerance still moves the
-    // counters and fails here.
-    (
-        "micro_decide",
-        "single_pick_ns",
-        Direction::LowerBetter,
-        TIMING_TOLERANCE,
-    ),
-    (
-        "micro_decide",
-        "batch_pick_ns",
-        Direction::LowerBetter,
-        TIMING_TOLERANCE,
-    ),
-    (
-        "micro_decide",
-        "legacy_select_ns",
-        Direction::LowerBetter,
-        TIMING_TOLERANCE,
-    ),
-    (
-        "micro_decide",
-        "single_pick_ops",
-        Direction::LowerBetter,
-        DEFAULT_TOLERANCE,
-    ),
-    (
-        "micro_decide",
-        "batch_pick_ops_per_kilopick",
-        Direction::LowerBetter,
-        DEFAULT_TOLERANCE,
-    ),
 ];
 
 fn load(dir: &Path, stem: &str) -> Result<Value, String> {

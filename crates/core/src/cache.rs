@@ -216,13 +216,6 @@ struct Shard {
 pub struct ShardedCache {
     shards: Vec<Shard>,
     generation: AtomicU64,
-    /// Lock-free open-addressed L1 in front of the shards: the decide
-    /// fast path ([`CachedSelector::decide`]) probes it before touching
-    /// any lock. Entries are generation-tagged, so `bump_generation`
-    /// invalidates it for free; `clear`/`restore_state` (which change
-    /// contents without advancing the generation) unpublish it
-    /// explicitly.
-    fast: crate::decide::ShapeTable,
     /// Live-entry capacity per shard; 0 means unbounded.
     per_shard_capacity: usize,
     bloom: Option<CountingBloom>,
@@ -243,7 +236,6 @@ impl ShardedCache {
                 })
                 .collect(),
             generation: AtomicU64::new(0),
-            fast: crate::decide::ShapeTable::new(),
             per_shard_capacity: 0,
             bloom: None,
             admit_threshold: 1,
@@ -307,11 +299,6 @@ impl ShardedCache {
         let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1; // atomic:role(tick)
         if let Some(entry) = map.get_mut(&shape) {
             let previous = (entry.generation == generation).then_some(entry.config_index);
-            if previous != Some(config_index) {
-                // Keep the L1 coherent with an out-of-band overwrite:
-                // it must never serve a decision the shards replaced.
-                self.fast.invalidate_key(shape.stable_hash());
-            }
             entry.generation = generation;
             entry.config_index = config_index;
             entry.last_used.store(tick, Ordering::Relaxed); // atomic:role(tick)
@@ -388,32 +375,6 @@ impl ShardedCache {
         for shard in &self.shards {
             shard.map.write().clear();
         }
-        // The generation did not advance, so the L1's generation tags
-        // would still read as live: unpublish it explicitly.
-        self.fast.invalidate_all();
-    }
-
-    /// Probe the lock-free L1 for `shape`'s decision under the live
-    /// generation: `(config_u16, shipped_slot)` on a hit.
-    #[inline]
-    pub(crate) fn l1_probe(&self, shape: &GemmShape) -> Option<(u16, u16)> {
-        let generation = self.generation.load(Ordering::Acquire); // atomic:role(publish)
-        self.fast.probe(shape.stable_hash(), generation)
-    }
-
-    /// Publish `shape`'s decision into the L1 under the live
-    /// generation (`slot` is the shipped-set slot, or
-    /// [`crate::decide::NO_SLOT`]).
-    pub(crate) fn l1_install(&self, shape: &GemmShape, config: u16, slot: u16) {
-        let generation = self.generation.load(Ordering::Acquire); // atomic:role(publish)
-        self.fast
-            .install(shape.stable_hash(), generation, config, slot);
-    }
-
-    /// The L1 decision table (probe-length introspection for the
-    /// deterministic bench proxy).
-    pub fn fast_table(&self) -> &crate::decide::ShapeTable {
-        &self.fast
     }
 
     /// Invalidate every cached decision in O(1) by advancing the cache
@@ -522,10 +483,6 @@ impl ShardedCache {
                 state.generation, live
             ));
         }
-        // Restore may keep the generation numerically equal while
-        // replacing the cached decisions wholesale; the L1 must not
-        // carry pre-restore picks across.
-        self.fast.invalidate_all();
         self.generation.store(state.generation, Ordering::Release); // atomic:role(publish)
         let max_tick = state.shards.iter().map(|s| s.tick).max().unwrap_or(0);
         for shard in &self.shards {
@@ -834,64 +791,23 @@ impl SelectionTelemetry {
         }
     }
 
-    /// The fast-path hit record: one hit, one pick-slot bump, no
-    /// latency sample (the decide path deliberately carries no
-    /// `Instant`; latency is sampled per batch instead). `slot` is the
-    /// shipped-set position carried in the L1 entry —
-    /// [`crate::decide::NO_SLOT`] bumps no pick counter, exactly like
-    /// a non-shipped pick in [`SelectionTelemetry::record`].
+    /// Count a reused decision as one hit and one pick, without a
+    /// latency sample (the decision was made, and timed, once for the
+    /// whole batch). `slot` is the decision's shipped-set position from
+    /// [`SelectionTelemetry::shipped_slot`]; `None` bumps no pick
+    /// counter, exactly like a non-shipped pick in
+    /// [`SelectionTelemetry::record`].
     #[inline]
-    pub(crate) fn record_fast_hit(&self, slot: u16) {
+    pub(crate) fn record_reused_hit(&self, slot: Option<usize>) {
         self.hits.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-        if let Some(pick) = self.picks.get(slot as usize) {
+        if let Some(pick) = slot.and_then(|slot| self.picks.get(slot)) {
             pick.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
         }
     }
 
-    /// The shipped-set slot of `config_index`, or
-    /// [`crate::decide::NO_SLOT`]. Runs the linear scan the fast path
-    /// avoids — called once per L1 install (the miss path), never per
-    /// hit.
-    pub(crate) fn shipped_slot(&self, config_index: usize) -> u16 {
-        self.shipped
-            .iter()
-            .position(|&c| c == config_index)
-            .and_then(|slot| u16::try_from(slot).ok())
-            .unwrap_or(crate::decide::NO_SLOT)
-    }
-
-    /// Flush a `decide_batch`'s locally accumulated telemetry in one
-    /// pass: `hits` L1 hits, `hit_nanos` of amortised wall time (0 for
-    /// mixed batches — misses already self-accounted through
-    /// [`SelectionTelemetry::record`]), one latency-histogram sample of
-    /// the amortised per-pick cost, and the per-slot pick counts.
-    pub(crate) fn flush_fast_batch(&self, hits: u64, hit_nanos: u64, picks: &[u32]) {
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed); // atomic:role(counter)
-        }
-        if hit_nanos > 0 {
-            self.hit_nanos.fetch_add(hit_nanos, Ordering::Relaxed); // atomic:role(counter)
-        }
-        for (pick, &n) in self.picks.iter().zip(picks) {
-            if n > 0 {
-                pick.fetch_add(n as u64, Ordering::Relaxed); // atomic:role(counter)
-            }
-        }
-    }
-
-    /// Record one amortised per-pick latency sample for a batch.
-    pub(crate) fn record_batch_latency(&self, per_pick_nanos: u64) {
-        self.decision_latency.record(per_pick_nanos);
-    }
-
-    /// Bump one pick-slot counter directly (overflow path for shipped
-    /// sets larger than the batch's stack accumulator; a
-    /// [`crate::decide::NO_SLOT`] sentinel bumps nothing).
-    #[inline]
-    pub(crate) fn bump_pick(&self, slot: u16) {
-        if let Some(pick) = self.picks.get(slot as usize) {
-            pick.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-        }
+    /// The shipped-set slot of `config_index`, if it is shipped.
+    pub(crate) fn shipped_slot(&self, config_index: usize) -> Option<usize> {
+        self.shipped.iter().position(|&c| c == config_index)
     }
 
     /// Selections answered from the cache.
@@ -1283,87 +1199,13 @@ impl CachedSelector {
         shapes.par_iter().map(|s| self.select(s)).collect()
     }
 
-    /// Decide a configuration for `shape` on the fast path: one
-    /// generation load, a short open-addressed L1 probe and two relaxed
-    /// counter bumps on the common (warm) pick — no lock, no `Instant`,
-    /// no shipped-set scan. Returns the same configuration
-    /// [`CachedSelector::select`] would (the L1 memoises `select`'s
-    /// result under the live cache generation); the only telemetry
-    /// difference is that L1 hits carry no per-decision latency sample
-    /// (use [`CachedSelector::decide_batch`] for amortised sampling).
-    #[inline]
+    /// [`CachedSelector::select`] as a `u16` configuration index. Kept
+    /// only because the end-to-end benchmark still times it; it will be
+    /// removed.
+    #[deprecated(note = "use `select_outcome`, the one decision path")]
     pub fn decide(&self, shape: &GemmShape) -> Result<u16> {
-        if let Some((config, slot)) = self.cache.l1_probe(shape) {
-            self.telemetry.record_fast_hit(slot);
-            return Ok(config);
-        }
-        self.decide_slow(shape)
-    }
-
-    /// The decide miss path: run the full [`CachedSelector::select_outcome`]
-    /// (model run or shard hit, self-accounted telemetry) and publish
-    /// the decision into the L1 for subsequent picks.
-    #[cold]
-    fn decide_slow(&self, shape: &GemmShape) -> Result<u16> {
-        let outcome = self.select_outcome(shape)?;
-        let config = u16::try_from(outcome.config_index)
-            .map_err(|_| crate::CoreError::BadConfigIndex(outcome.config_index))?;
-        let slot = self.telemetry.shipped_slot(outcome.config_index);
-        self.cache.l1_install(shape, config, slot);
-        Ok(config)
-    }
-
-    /// Decide configurations for a chunk of shapes, amortising the
-    /// telemetry atomics across the batch: hits and pick counts
-    /// accumulate in stack locals and flush once, and a single
-    /// `Instant` pair per batch yields one amortised per-pick latency
-    /// sample instead of one clock read per decision. Writes one `u16`
-    /// configuration index per shape into `out` (which must have the
-    /// same length); misses fall through to the self-accounting slow
-    /// path exactly as [`CachedSelector::decide`] does.
-    pub fn decide_batch(&self, shapes: &[GemmShape], out: &mut [u16]) -> Result<()> {
-        if shapes.len() != out.len() {
-            // lint:allow(no-alloc) typed-error construction on the cold arity-mismatch arm
-            return Err(crate::CoreError::Dataset(format!(
-                "decide_batch arity mismatch: {} shapes, {} output slots",
-                shapes.len(),
-                out.len()
-            )));
-        }
-        if shapes.is_empty() {
-            return Ok(());
-        }
-        let start = Instant::now();
-        let mut local_hits: u64 = 0;
-        let mut local_picks = [0u32; crate::decide::MAX_SHIPPED_SLOTS];
-        for (shape, decided) in shapes.iter().zip(out.iter_mut()) {
-            if let Some((config, slot)) = self.cache.l1_probe(shape) {
-                local_hits += 1;
-                match local_picks.get_mut(slot as usize) {
-                    Some(count) => *count += 1,
-                    // Slots beyond the stack accumulator (and the
-                    // NO_SLOT sentinel) flush directly.
-                    None => self.telemetry.bump_pick(slot),
-                }
-                *decided = config;
-            } else {
-                *decided = self.decide_slow(shape)?;
-            }
-        }
-        let elapsed = start.elapsed().as_nanos() as u64;
-        // Misses self-account their nanos inside `decide_slow`; only a
-        // pure-hit batch attributes the batch wall time to `hit_nanos`
-        // (the steady-state case the mean-hit metric describes).
-        let all_hit_nanos = if local_hits == shapes.len() as u64 {
-            elapsed
-        } else {
-            0
-        };
-        self.telemetry
-            .flush_fast_batch(local_hits, all_hit_nanos, &local_picks);
-        self.telemetry
-            .record_batch_latency(elapsed / shapes.len() as u64);
-        Ok(())
+        let config_index = self.select(shape)?;
+        u16::try_from(config_index).map_err(|_| crate::CoreError::BadConfigIndex(config_index))
     }
 
     /// Run the model for every shape up front so later traffic is all
@@ -1405,14 +1247,14 @@ impl CachedSelector {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dataset::PerformanceDataset;
     use crate::prune::PruneMethod;
     use crate::select::{Selector, SelectorKind};
     use autokernel_sycl_sim::DeviceSpec;
 
-    fn trained() -> Arc<Selector> {
+    pub(crate) fn trained() -> Arc<Selector> {
         let shapes: Vec<(GemmShape, String)> = [
             (64, 64, 64),
             (512, 512, 512),
@@ -1437,6 +1279,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn cached_agrees_with_uncached() {
         let sel = trained();
         let cached = CachedSelector::new(Arc::clone(&sel));
@@ -1450,6 +1293,51 @@ mod tests {
             // Second call must come from the cache and still agree.
             assert_eq!(cached.select(&shape).unwrap(), direct);
         }
+
+        // The deprecated `decide` is `select_outcome` by another name:
+        // twin bounded caches fed the same stream give the same configs
+        // and the same counts, Bloom admission and LRU eviction included.
+        let bounded = || {
+            CachedSelector::with_bounded_cache(
+                Arc::clone(&sel),
+                2,
+                BoundedCacheConfig {
+                    capacity: 8,
+                    admit_threshold: 2,
+                    ..BoundedCacheConfig::default()
+                },
+            )
+        };
+        let (by_select, by_decide) = (bounded(), bounded());
+        let mut stream = Vec::new();
+        for _ in 0..3 {
+            for i in 1..=16 {
+                let shape = GemmShape::new(i * 24, 96 + i * 8, 64);
+                stream.push(shape);
+                if i % 3 == 0 {
+                    stream.push(shape);
+                }
+            }
+        }
+        for shape in &stream {
+            let config = by_select.select_outcome(shape).unwrap().config_index;
+            assert_eq!(
+                by_decide.decide(shape).unwrap() as usize,
+                config,
+                "{shape:?}"
+            );
+        }
+        let (s, d) = (by_select.telemetry(), by_decide.telemetry());
+        assert!(s.hits() > 0 && by_select.cache().evictions() > 0);
+        assert!(by_select.cache().admission_rejects() > 0);
+        assert_eq!((d.hits(), d.misses()), (s.hits(), s.misses()));
+        assert_eq!(d.picks(), s.picks());
+        assert_eq!(by_decide.cache().evictions(), by_select.cache().evictions());
+        assert_eq!(
+            by_decide.cache().admission_rejects(),
+            by_select.cache().admission_rejects()
+        );
+        assert_eq!(by_decide.cache().footprint(), by_select.cache().footprint());
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod cache;
 pub mod codegen;
 pub mod crossval;
 pub mod dataset;
-pub mod decide;
 pub mod evaluate;
 pub mod ingress;
 pub mod libsize;
@@ -60,7 +59,6 @@ pub use cache::{
     SelectionTelemetry, ShardedCache, TelemetrySnapshot,
 };
 pub use dataset::{PerformanceDataset, StaticPruneStats};
-pub use decide::{ClusterTable, ShapeTable, NO_SLOT};
 pub use ingress::{
     ClassReport, Ingress, IngressConfig, IngressReport, IngressRequest, Priority, ShedReason,
     SubmitOutcome, TenantQuota,
@@ -110,6 +108,16 @@ pub enum CoreError {
     IngressClosed,
     /// The ingress dispatcher thread panicked.
     DispatcherPanicked,
+    /// A sharded scheduler was built over no device shards.
+    EmptyFleet,
+    /// The online layer's offline priors do not cover the shipped set
+    /// one-to-one (or the shipped set is empty).
+    PriorsMismatch {
+        /// Priors supplied.
+        priors: usize,
+        /// Configurations in the shipped set.
+        shipped: usize,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -135,6 +143,13 @@ impl std::fmt::Display for CoreError {
                 write!(f, "ingress is closed: the dispatcher has shut down")
             }
             CoreError::DispatcherPanicked => write!(f, "ingress dispatcher thread panicked"),
+            CoreError::EmptyFleet => {
+                write!(f, "sharded scheduler needs at least one device shard")
+            }
+            CoreError::PriorsMismatch { priors, shipped } => write!(
+                f,
+                "online priors cover {priors} configs, shipped set has {shipped}"
+            ),
         }
     }
 }

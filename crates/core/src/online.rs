@@ -28,10 +28,10 @@
 //! the policy to the adaptive stage.
 
 use crate::cache::{CachedSelector, SelectionOutcome};
-use crate::decide::ClusterTable;
 use crate::{CoreError, Result};
 use autokernel_gemm::GemmShape;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -149,10 +149,9 @@ struct ClusterState {
 /// picks do.
 #[derive(Debug)]
 struct Inner {
-    /// Open-addressed shape-cluster table ([`crate::decide`]): flat
-    /// probes and an allocation-free steady state in place of the
-    /// `HashMap` the bandit used to walk.
-    clusters: ClusterTable<ClusterState>,
+    /// Bandit state per shape-cluster lattice point. Iteration order is
+    /// unspecified; `export_state` sorts by key.
+    clusters: HashMap<[i64; 3], ClusterState>,
     ph: PageHinkley,
 }
 
@@ -206,11 +205,10 @@ impl OnlineSelector {
     ) -> Result<Self> {
         let shipped = cached.selector().configs().to_vec();
         if shipped.is_empty() || shipped.len() != priors.len() {
-            return Err(CoreError::Dataset(format!(
-                "online priors cover {} configs, shipped set has {}",
-                priors.len(),
-                shipped.len()
-            )));
+            return Err(CoreError::PriorsMismatch {
+                priors: priors.len(),
+                shipped: shipped.len(),
+            });
         }
         let mut scan_order: Vec<usize> = (0..shipped.len()).collect();
         scan_order.sort_by(|&a, &b| {
@@ -227,7 +225,7 @@ impl OnlineSelector {
             adaptive: AtomicBool::new(false),
             generation: AtomicU64::new(0),
             inner: Mutex::new(Inner {
-                clusters: ClusterTable::new(),
+                clusters: HashMap::new(),
                 ph: PageHinkley::default(),
             }),
         })
@@ -313,49 +311,8 @@ impl OnlineSelector {
         Ok(self.select_outcome(shape)?.config_index)
     }
 
-    /// Decide on the fast path. Mirror stage: exactly
-    /// [`CachedSelector::decide`] — the lock-free sub-20ns pick.
-    /// Adaptive stage: the bandit pick (mutex + UCB argmax), returning
-    /// the same configuration [`OnlineSelector::select`] would.
-    #[inline]
-    pub fn decide(&self, shape: &GemmShape) -> Result<u16> {
-        if !self.is_adaptive() {
-            return self.cached.decide(shape);
-        }
-        self.decide_adaptive(shape)
-    }
-
-    #[cold]
-    fn decide_adaptive(&self, shape: &GemmShape) -> Result<u16> {
-        let outcome = self.select_outcome(shape)?;
-        u16::try_from(outcome.config_index)
-            .map_err(|_| CoreError::BadConfigIndex(outcome.config_index))
-    }
-
-    /// Batched decide: mirror stage amortises telemetry atomics across
-    /// the chunk via [`CachedSelector::decide_batch`]; adaptive stage
-    /// picks per shape (each pick consults live bandit evidence).
-    /// `out` must have one slot per shape.
-    pub fn decide_batch(&self, shapes: &[GemmShape], out: &mut [u16]) -> Result<()> {
-        if !self.is_adaptive() {
-            return self.cached.decide_batch(shapes, out);
-        }
-        if shapes.len() != out.len() {
-            // lint:allow(no-alloc) typed-error construction on the cold arity-mismatch arm
-            return Err(CoreError::Dataset(format!(
-                "decide_batch arity mismatch: {} shapes, {} output slots",
-                shapes.len(),
-                out.len()
-            )));
-        }
-        for (shape, decided) in shapes.iter().zip(out.iter_mut()) {
-            *decided = self.decide_adaptive(shape)?;
-        }
-        Ok(())
-    }
-
     fn cluster_entry<'a>(&self, inner: &'a mut Inner, key: [i64; 3]) -> &'a mut ClusterState {
-        inner.clusters.get_or_insert_with(key, || ClusterState {
+        inner.clusters.entry(key).or_insert_with(|| ClusterState {
             arms: self.priors.iter().map(|&p| Arm::fresh(p)).collect(),
         })
     }
@@ -593,7 +550,7 @@ impl OnlineSelector {
             return Err("drift-detector registers out of range".to_string());
         }
         let mut dropped = 0u64;
-        let mut clusters = ClusterTable::with_capacity(state.clusters.len());
+        let mut clusters = HashMap::with_capacity(state.clusters.len());
         for cluster in &state.clusters {
             let valid = cluster.arms.len() == self.shipped.len()
                 && cluster.arms.iter().all(|a| {
@@ -664,6 +621,59 @@ impl OnlineSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cached() -> Arc<CachedSelector> {
+        Arc::new(CachedSelector::new(crate::cache::tests::trained()))
+    }
+
+    #[test]
+    fn priors_must_cover_the_shipped_set() {
+        let cached = cached();
+        let shipped = cached.selector().configs().len();
+        let result = OnlineSelector::new(cached, vec![0.5; shipped + 1], OnlineConfig::default());
+        assert!(matches!(
+            result,
+            Err(CoreError::PriorsMismatch { priors, shipped: live })
+                if priors == shipped + 1 && live == shipped
+        ));
+    }
+
+    #[test]
+    fn exported_clusters_are_sorted_and_restore_byte_identically() {
+        let cached = cached();
+        let priors = vec![0.5; cached.selector().configs().len()];
+        let online =
+            OnlineSelector::new(Arc::clone(&cached), priors.clone(), OnlineConfig::default())
+                .unwrap();
+        let generation = online.generation();
+        // Ten m values a factor of four apart: ten distinct clusters.
+        for i in 0..10u32 {
+            let shape = GemmShape::new(1 << (2 * i), 256, 64);
+            for (slot, &config) in online.shipped().iter().enumerate() {
+                let duration = 1e-4 * (1 + i as usize + slot) as f64;
+                online.record_success(&shape, config, duration, generation);
+                online.record_success(&shape, config, duration * 1.01, generation);
+            }
+        }
+        assert!(!online.is_adaptive(), "the rewards must not trip drift");
+
+        let state = online.export_state();
+        assert!(
+            state.clusters.len() >= 8,
+            "{} clusters",
+            state.clusters.len()
+        );
+        assert!(
+            state.clusters.windows(2).all(|w| w[0].key < w[1].key),
+            "clusters must be exported in strictly ascending key order"
+        );
+        let fresh = OnlineSelector::new(cached, priors, OnlineConfig::default()).unwrap();
+        assert_eq!(fresh.restore_state(&state).unwrap(), 0);
+        assert_eq!(
+            serde_json::to_string(&fresh.export_state()).unwrap(),
+            serde_json::to_string(&state).unwrap()
+        );
+    }
 
     #[test]
     fn page_hinkley_ignores_stationary_noise() {

@@ -241,7 +241,7 @@ impl LaunchReport {
 struct BatchDecision {
     outcome: SelectionOutcome,
     generation: u64,
-    slot: u16,
+    slot: Option<usize>,
     primary: Option<autokernel_sycl_sim::Result<PreparedLaunch>>,
 }
 
@@ -441,7 +441,7 @@ impl ResilientExecutor {
                 Some(current) if self.still_holds(current) => {
                     self.deciding_selector()
                         .telemetry()
-                        .record_fast_hit(current.slot);
+                        .record_reused_hit(current.slot);
                     current
                 }
                 _ => {

@@ -407,9 +407,7 @@ impl ShardedScheduler {
     /// Build a scheduler over at least one shard.
     pub fn new(shards: Vec<DeviceShard>, config: SchedConfig) -> Result<Self> {
         if shards.is_empty() {
-            return Err(CoreError::Dataset(
-                "sharded scheduler needs at least one device shard".into(),
-            ));
+            return Err(CoreError::EmptyFleet);
         }
         let rr_cursor = (config.seed % shards.len().max(1) as u64) as usize;
         Ok(ShardedScheduler {
@@ -1054,7 +1052,10 @@ mod tests {
 
     #[test]
     fn empty_fleet_is_rejected() {
-        assert!(ShardedScheduler::new(Vec::new(), SchedConfig::default()).is_err());
+        assert!(matches!(
+            ShardedScheduler::new(Vec::new(), SchedConfig::default()),
+            Err(CoreError::EmptyFleet)
+        ));
     }
 
     #[test]

@@ -248,14 +248,6 @@ impl Selector {
         Ok(self.predict(&x)?[0])
     }
 
-    /// [`Selector::select_shape`] in the decide path's native `u16`
-    /// currency (the 640-point space fits; an out-of-space model
-    /// output is the typed [`crate::CoreError::BadConfigIndex`]).
-    pub fn select_shape_u16(&self, shape: &GemmShape) -> Result<u16> {
-        let config = self.select_shape(shape)?;
-        u16::try_from(config).map_err(|_| crate::CoreError::BadConfigIndex(config))
-    }
-
     /// Select configurations for many arbitrary shapes in parallel.
     ///
     /// Equivalent to mapping [`Selector::select_shape`] over `shapes`

@@ -137,12 +137,6 @@ impl KernelConfig {
     }
 
     /// Stable index of this configuration within [`KernelConfig::all`].
-    pub fn index(&self) -> usize {
-        self.index_u16() as usize
-    }
-
-    /// Stable index as a `u16` — the decide path's native currency
-    /// (the space has 640 < 2^16 points).
     ///
     /// Branchless: every tile size is a power of two in `1..=8`, so its
     /// position within [`TILE_SIZES`] *is* its `trailing_zeros`; every
@@ -150,28 +144,16 @@ impl KernelConfig {
     /// `log2(rows) * 8 + log2(cols)` is a perfect 6-bit key into the
     /// const [`WG_POS`] table. No iteration, no data-dependent branch.
     #[inline]
-    pub fn index_u16(&self) -> u16 {
-        let pos = |v: usize| (v.trailing_zeros() as u16) & 3;
+    pub fn index(&self) -> usize {
+        let pos = |v: usize| (v.trailing_zeros() as usize) & 3;
         let key = (self.work_group.rows.trailing_zeros() & 7) * 8
             + (self.work_group.cols.trailing_zeros() & 7);
-        let wg = WG_POS[key as usize & 63] as u16;
-        debug_assert!(wg != u8::MAX as u16, "work group outside the space");
-        ((pos(self.tile_rows) * TILE_SIZES.len() as u16 + pos(self.tile_cols))
-            * TILE_SIZES.len() as u16
+        let wg = WG_POS[key as usize & 63] as usize;
+        debug_assert!(wg != u8::MAX as usize, "work group outside the space");
+        ((pos(self.tile_rows) * TILE_SIZES.len() + pos(self.tile_cols)) * TILE_SIZES.len()
             + pos(self.acc_depth))
-            * WORK_GROUPS.len() as u16
+            * WORK_GROUPS.len()
             + wg
-    }
-
-    /// Inverse of [`KernelConfig::index_u16`].
-    #[inline]
-    pub fn from_index_u16(index: u16) -> Option<KernelConfig> {
-        Self::from_index(index as usize)
-    }
-
-    /// Size of the space as a `u16` (640 fits comfortably).
-    pub const fn count_u16() -> u16 {
-        Self::count() as u16
     }
 
     /// Inverse of [`KernelConfig::index`].
@@ -248,16 +230,6 @@ mod tests {
             assert_eq!(KernelConfig::from_index(i).unwrap(), *cfg);
         }
         assert!(KernelConfig::from_index(640).is_none());
-    }
-
-    #[test]
-    fn u16_index_matches_usize_index() {
-        assert_eq!(KernelConfig::count_u16() as usize, KernelConfig::count());
-        for (i, cfg) in KernelConfig::all().iter().enumerate() {
-            assert_eq!(cfg.index_u16() as usize, i);
-            assert_eq!(KernelConfig::from_index_u16(i as u16).unwrap(), *cfg);
-        }
-        assert!(KernelConfig::from_index_u16(640).is_none());
     }
 
     #[test]

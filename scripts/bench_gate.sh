@@ -33,8 +33,6 @@ AUTOKERNEL_BENCH_DIR="${PWD}/${candidate_dir}" \
     cargo bench -q -p autokernel-bench --bench micro_persist -- --test
 AUTOKERNEL_BENCH_DIR="${PWD}/${candidate_dir}" \
     cargo bench -q -p autokernel-bench --bench micro_analytical -- --test
-AUTOKERNEL_BENCH_DIR="${PWD}/${candidate_dir}" \
-    cargo bench -q -p autokernel-bench --bench micro_decide -- --test
 
 if [ "${BLESS:-0}" = "1" ]; then
     echo "==> BLESS=1: overwriting baselines in ${baseline_dir}/"
