@@ -55,14 +55,16 @@ use std::path::Path;
 pub const TOOL_NAME: &str = "concurrency-auditor";
 
 /// The audited modules: `(label, workspace-relative path)`. Five core
-/// serving modules plus the hand-rolled `parking_lot` synchronisation
-/// shim.
-pub const AUDIT_TARGETS: [(&str, &str); 6] = [
+/// serving modules, the simulated runtime (its lock-free device clock
+/// and buffer locks sit under every launch), plus the hand-rolled
+/// `parking_lot` synchronisation shim.
+pub const AUDIT_TARGETS: [(&str, &str); 7] = [
     ("core::cache", "crates/core/src/cache.rs"),
     ("core::ingress", "crates/core/src/ingress.rs"),
     ("core::online", "crates/core/src/online.rs"),
     ("core::sched", "crates/core/src/sched.rs"),
     ("core::resilient", "crates/core/src/resilient.rs"),
+    ("sycl-sim::runtime", "crates/sycl-sim/src/runtime.rs"),
     ("shims::parking_lot", "shims/parking_lot/src/lib.rs"),
 ];
 

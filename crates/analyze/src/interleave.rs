@@ -12,7 +12,8 @@
 //! - the `OnlineSelector` drift flip (generation bump published before
 //!   the adaptive flag), and
 //! - the ingress `submitted == served + shed` accounting identity with
-//!   tenant hold/release and the queue-occupancy reservation.
+//!   tenant hold/release, the queue-occupancy reservation and the
+//!   dispatcher's chunk-level release.
 //!
 //! **How it explores.** CHESS-style stateless search: a model is a
 //! deterministic function of a *decision tape*. Every nondeterministic
@@ -40,12 +41,13 @@
 //! synchronisation, not the SC total order — none of the audited
 //! protocols rely on it.
 //!
-//! **What the bounds prove.** Exhaustive at 2–3 threads and one or two
+//! **What the bounds prove.** Exhaustive at 2–4 threads and one or two
 //! operations per thread: enough to exhibit every two-party ordering
 //! bug seeded in the mutation suite (weakened `Release`, reordered
 //! publication, torn read-modify-write, late occupancy reservation,
-//! leaked tenant slot), and small enough to finish in well under a
-//! second. They are *not* a proof for unbounded thread counts.
+//! leaked tenant slot, a chunk released once per tenant), and small
+//! enough to finish in well under a second. They are *not* a proof for
+//! unbounded thread counts.
 //!
 //! [`self_check`] runs every faithful model (expecting a clean
 //! exhaustive pass) and every seeded mutation (expecting the checker to
@@ -366,8 +368,8 @@ pub enum Model {
     Histogram,
     /// OnlineSelector drift flip: generation bump before adaptive flag.
     Drift,
-    /// Ingress `submitted == served + shed` with tenant hold/release
-    /// and the queue-occupancy reservation.
+    /// Ingress `submitted == served + shed` with tenant hold/release,
+    /// the queue-occupancy reservation and chunk-level release.
     Ingress,
 }
 
@@ -415,11 +417,15 @@ pub enum Mutation {
     /// `AtomicUsize` wraps to `usize::MAX` and sheds every Batch
     /// request until the late increment lands.
     IngressReserveAfterSend,
+    /// The dispatcher releases one slot per tenant per chunk instead of
+    /// one per request: a tenant with two requests in one chunk keeps a
+    /// slot forever and is eventually shed by its own quota.
+    IngressReleaseOncePerChunk,
 }
 
 impl Mutation {
     /// All mutations, in reporting order.
-    pub const ALL: [Mutation; 9] = [
+    pub const ALL: [Mutation; 10] = [
         Mutation::CacheTornBloom,
         Mutation::CacheCheckThenAct,
         Mutation::HistogramRelaxedCount,
@@ -429,6 +435,7 @@ impl Mutation {
         Mutation::IngressLeakTenantOnShed,
         Mutation::IngressDoubleCountShed,
         Mutation::IngressReserveAfterSend,
+        Mutation::IngressReleaseOncePerChunk,
     ];
 
     /// The model this mutation breaks.
@@ -439,7 +446,8 @@ impl Mutation {
             Mutation::DriftRelaxedFlagStore | Mutation::DriftFlipBeforeBump => Model::Drift,
             Mutation::IngressLeakTenantOnShed
             | Mutation::IngressDoubleCountShed
-            | Mutation::IngressReserveAfterSend => Model::Ingress,
+            | Mutation::IngressReserveAfterSend
+            | Mutation::IngressReleaseOncePerChunk => Model::Ingress,
         }
     }
 
@@ -455,6 +463,7 @@ impl Mutation {
             Mutation::IngressLeakTenantOnShed => "leak-tenant-on-shed",
             Mutation::IngressDoubleCountShed => "double-count-shed",
             Mutation::IngressReserveAfterSend => "reserve-after-send",
+            Mutation::IngressReleaseOncePerChunk => "release-once-per-chunk",
         }
     }
 }
@@ -777,76 +786,86 @@ fn run_drift(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), String
 
 // --------------------------- ingress model ---------------------------
 
-/// Two producers submit one request each through the tenant gate
-/// (quota 2) into a capacity-1 queue; a dispatcher drains, releasing
-/// the tenant slot and counting `served`. Queue-full submissions take
-/// the shed path: release the slot, count `shed`. Each producer also
-/// reserves a queue-occupancy slot in its gate step, released when it
-/// sheds or when the dispatcher dequeues its request. Checks the
-/// `submitted == served + shed` identity, that no tenant slot leaks,
-/// and that the occupancy counter never goes below zero and is zero
-/// after the drain.
+/// Three producers submit one request each through the tenant gate
+/// (producers 0 and 1 are tenant 0, producer 2 is tenant 1; quota 2,
+/// so all fit) into a capacity-2 queue. A dispatcher step drains up to
+/// two queued requests as one chunk: it releases their occupancy
+/// slots, releases tenant slots as `(tenant, n)` runs, and counts them
+/// `served`. Queue-full submissions take the shed path: release the
+/// slot, count `shed`. Each producer also reserves a queue-occupancy
+/// slot in its gate step, released when it sheds or when the
+/// dispatcher dequeues its request. Checks the `submitted == served +
+/// shed` identity, that no tenant slot leaks, and that the occupancy
+/// counter never goes below zero and is zero after the drain.
 fn run_ingress(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), String> {
     let leak = matches!(mutation, Some(Mutation::IngressLeakTenantOnShed));
     let double = matches!(mutation, Some(Mutation::IngressDoubleCountShed));
     let late_reserve = matches!(mutation, Some(Mutation::IngressReserveAfterSend));
+    let once_per_chunk = matches!(mutation, Some(Mutation::IngressReleaseOncePerChunk));
+    /// Producers, and the dispatcher's thread id.
+    const PRODUCERS: usize = 3;
+    /// Each producer's tenant.
+    const TENANT: [usize; PRODUCERS] = [0, 0, 1];
+    /// Queue capacity, and so the largest chunk a dispatcher step drains.
+    const CAPACITY: usize = 2;
     /// Program counter of a finished thread.
     const DONE: usize = 3;
     struct St {
-        held: usize,
+        held: [usize; 2],
         queued: usize,
-        queue: Vec<u64>,
+        queue: Vec<usize>,
         submitted: u64,
         served: u64,
         shed: u64,
-        pc: [usize; 3],
+        pc: [usize; PRODUCERS + 1],
     }
-    fn release(queued: &mut usize) -> Result<(), String> {
+    fn release(queued: &mut usize, n: usize) -> Result<(), String> {
         *queued = queued
-            .checked_sub(1)
+            .checked_sub(n)
             .ok_or("occupancy counter released below zero")?;
         Ok(())
     }
     let mut st = St {
-        held: 0,
+        held: [0; 2],
         queued: 0,
         queue: Vec::new(),
         submitted: 0,
         served: 0,
         shed: 0,
-        pc: [0; 3],
+        pc: [0; PRODUCERS + 1],
     };
-    let producers_done = |s: &St| s.pc[0] == DONE && s.pc[1] == DONE;
+    let producers_done = |s: &St| s.pc[..PRODUCERS].iter().all(|&pc| pc == DONE);
     drive(
         trace,
         &mut st,
-        3,
+        PRODUCERS + 1,
         |s, t| s.pc[t] == DONE,
-        |s, t| t < 2 || !s.queue.is_empty() || producers_done(s),
+        |s, t| t < PRODUCERS || !s.queue.is_empty() || producers_done(s),
         |s, t, _trace| {
-            if t < 2 {
+            if t < PRODUCERS {
+                let tenant = TENANT[t];
                 match s.pc[t] {
                     0 => {
-                        // Tenant gate (quota 2 — both fit), submit
+                        // Tenant gate (quota 2 — all fit), submit
                         // count and occupancy reservation.
                         s.submitted += 1;
-                        s.held += 1;
+                        s.held[tenant] += 1;
                         if !late_reserve {
                             s.queued += 1;
                         }
                         s.pc[t] = 1;
                     }
                     1 => {
-                        // Enqueue, or shed on a full (capacity 1) queue.
-                        if s.queue.is_empty() {
-                            s.queue.push(t as u64);
+                        // Enqueue, or shed on a full queue.
+                        if s.queue.len() < CAPACITY {
+                            s.queue.push(t);
                             s.pc[t] = if late_reserve { 2 } else { DONE };
                         } else {
                             if !leak {
-                                s.held -= 1;
+                                s.held[tenant] -= 1;
                             }
                             if !late_reserve {
-                                release(&mut s.queued)?;
+                                release(&mut s.queued, 1)?;
                             }
                             s.shed += 1;
                             if double {
@@ -863,10 +882,22 @@ fn run_ingress(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), Stri
                     }
                 }
             } else if !s.queue.is_empty() {
-                s.queue.remove(0);
-                s.held -= 1;
-                release(&mut s.queued)?;
-                s.served += 1;
+                // Dequeue everything queued as one chunk, release its
+                // occupancy, then its tenant slots as (tenant, n) runs
+                // under one lock.
+                let chunk: Vec<usize> = s.queue.drain(..).collect();
+                release(&mut s.queued, chunk.len())?;
+                let mut runs: Vec<(usize, usize)> = Vec::new();
+                for &producer in &chunk {
+                    match runs.last_mut() {
+                        Some((tenant, n)) if *tenant == TENANT[producer] => *n += 1,
+                        _ => runs.push((TENANT[producer], 1)),
+                    }
+                }
+                for (tenant, n) in runs {
+                    s.held[tenant] -= if once_per_chunk { 1 } else { n };
+                }
+                s.served += chunk.len() as u64;
             } else {
                 // Queue empty and producers done: dispatcher exits.
                 s.pc[t] = DONE;
@@ -880,10 +911,10 @@ fn run_ingress(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), Stri
             st.submitted, st.served, st.shed
         ));
     }
-    if st.held != 0 {
+    let held: usize = st.held.iter().sum();
+    if held != 0 {
         return Err(format!(
-            "tenant slot leak: {} slots still held after drain",
-            st.held
+            "tenant slot leak: {held} slots still held after drain"
         ));
     }
     if st.queued != 0 {

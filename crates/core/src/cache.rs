@@ -579,14 +579,27 @@ impl LatencyHistogram {
         }
     }
 
+    /// The bucket a sample of `nanos` lands in (0 is clamped to 1):
+    /// bucket `i` spans `[2^i, 2^(i+1))` ns.
+    pub fn bucket_of(nanos: u64) -> usize {
+        63 - nanos.max(1).leading_zeros() as usize
+    }
+
     /// Record one sample of `nanos` (0 is clamped to 1). Lock-free,
     /// allocation-free. The release on `count` publishes the bucket
     /// increment to acquire readers.
     pub fn record(&self, nanos: u64) {
-        let idx = 63 - nanos.max(1).leading_zeros() as usize;
-        if let Some(bucket) = self.buckets.get(idx) {
-            bucket.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-            self.count.fetch_add(1, Ordering::Release); // atomic:role(publish)
+        self.record_n(nanos, 1);
+    }
+
+    /// Record `n` samples of `nanos` with two atomic updates: the bucket
+    /// counts and total come out as after `n` calls of
+    /// [`LatencyHistogram::record`]. The bucket is bumped first and the
+    /// release on `count` publishes it, as in `record`.
+    pub fn record_n(&self, nanos: u64, n: u64) {
+        if let Some(bucket) = self.buckets.get(Self::bucket_of(nanos)) {
+            bucket.fetch_add(n, Ordering::Relaxed); // atomic:role(counter)
+            self.count.fetch_add(n, Ordering::Release); // atomic:role(publish)
         }
     }
 
@@ -1465,5 +1478,37 @@ pub(crate) mod tests {
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.misses, 1);
         assert_eq!(back.picks.len(), cached.selector().configs().len());
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        for nanos in [0, 1, 1023, 1024, u64::MAX] {
+            for n in [0, 1, 5] {
+                let batched = LatencyHistogram::new();
+                let single = LatencyHistogram::new();
+                batched.record_n(nanos, n);
+                for _ in 0..n {
+                    single.record(nanos);
+                }
+                assert_eq!(
+                    batched.bucket_counts(),
+                    single.bucket_counts(),
+                    "{nanos} x {n}"
+                );
+                assert_eq!(batched.count(), single.count(), "{nanos} x {n}");
+                assert_eq!(batched.count(), n);
+            }
+        }
+        // 0 and 1 share the lowest bucket; 1023 and 1024 straddle a
+        // bucket edge.
+        assert_eq!(
+            LatencyHistogram::bucket_of(0),
+            LatencyHistogram::bucket_of(1)
+        );
+        assert_eq!(
+            LatencyHistogram::bucket_of(1023) + 1,
+            LatencyHistogram::bucket_of(1024)
+        );
+        assert_eq!(LatencyHistogram::bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
     }
 }

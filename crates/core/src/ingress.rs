@@ -307,18 +307,66 @@ impl Shared {
     /// that does not enqueue.
     fn unreserve(&self, tenant: u32) {
         self.queued.fetch_sub(1, Ordering::Relaxed); // atomic:role(counter)
-        self.release_tenant(tenant);
+        self.release_tenants(&[(tenant, 1)]);
     }
 
-    /// Release one queue slot held by `tenant`.
-    fn release_tenant(&self, tenant: u32) {
+    /// Release queue slots given as `(tenant, slots)` runs, under one
+    /// acquisition of the tenant table.
+    fn release_tenants(&self, runs: &[(u32, usize)]) {
         let mut tenants = self.tenants.lock();
-        if let Some(count) = tenants.get_mut(&tenant) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                tenants.remove(&tenant);
+        for &(tenant, slots) in runs {
+            if let Some(count) = tenants.get_mut(&tenant) {
+                *count = count.saturating_sub(slots);
+                if *count == 0 {
+                    tenants.remove(&tenant);
+                }
             }
         }
+    }
+
+    /// Publish a served chunk's completions at `done`, given each
+    /// request's `(submitted, priority)` in chunk order: one
+    /// `fetch_add` on `served` and on each class that served requests,
+    /// and one [`LatencyHistogram::record_n`] per run of requests with
+    /// the same class and latency bucket. The histograms end up as if
+    /// each request had been recorded on its own.
+    fn settle_chunk(&self, done: Instant, served: &[(Instant, Priority)]) {
+        let record = |(priority, _, nanos, n): (Priority, usize, u64, u64)| {
+            if let Some(histogram) = self.latency.get(priority.index()) {
+                histogram.record_n(nanos, n);
+            }
+        };
+        let mut per_class = [0u64; PRIORITY_CLASSES];
+        // The open run: (priority, bucket, a latency in it, requests).
+        let mut run: Option<(Priority, usize, u64, u64)> = None;
+        for &(submitted, priority) in served {
+            let nanos = done
+                .saturating_duration_since(submitted)
+                .as_nanos()
+                .min(u64::MAX as u128) as u64;
+            let bucket = LatencyHistogram::bucket_of(nanos);
+            if let Some(count) = per_class.get_mut(priority.index()) {
+                *count += 1;
+            }
+            match run.as_mut() {
+                Some((p, b, _, n)) if *p == priority && *b == bucket => *n += 1,
+                _ => {
+                    if let Some(closed) = run.replace((priority, bucket, nanos, 1)) {
+                        record(closed);
+                    }
+                }
+            }
+        }
+        if let Some(closed) = run {
+            record(closed);
+        }
+        for (counter, &n) in self.class_served.iter().zip(&per_class) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed); // atomic:role(counter)
+            }
+        }
+        self.served
+            .fetch_add(served.len() as u64, Ordering::Relaxed); // atomic:role(counter)
     }
 }
 
@@ -734,6 +782,12 @@ fn report_from(shared: &Shared, waves: u64, fleet_degraded: bool) -> IngressRepo
 /// deadlines (and everything past the drain deadline during shutdown),
 /// serve the rest, record per-class latency, snapshot at the
 /// configured cadence and once more on drain.
+///
+/// Shared state is settled once per chunk, not once per request: the
+/// chunk's tenant slots are released under one lock acquisition, and
+/// its completions are published by [`Shared::settle_chunk`]. Requests
+/// move out of their envelopes into the scheduler's input, and the
+/// chunk buffers are reused from chunk to chunk.
 fn dispatch(
     mut scheduler: ShardedScheduler,
     receiver: Receiver<Envelope>,
@@ -743,11 +797,16 @@ fn dispatch(
 ) -> Result<DispatchOutcome> {
     let mut waves = 0u64;
     let mut fleet_degraded = false;
+    let mut envelopes: Vec<Envelope> = Vec::with_capacity(chunk_size);
+    let mut requests: Vec<GemmRequest> = Vec::with_capacity(chunk_size);
+    // Each kept request's (submitted, priority), in `requests` order.
+    let mut kept: Vec<(Instant, Priority)> = Vec::with_capacity(chunk_size);
+    // The chunk's tenant slots as (tenant, slots) runs.
+    let mut releases: Vec<(u32, usize)> = Vec::new();
     // Block for each chunk head; every sender gone means we are done
     // once the buffer is drained (recv returns leftovers before
     // reporting disconnect).
     while let Ok(first) = receiver.recv() {
-        let mut envelopes = Vec::with_capacity(chunk_size);
         envelopes.push(first);
         while envelopes.len() < chunk_size {
             match receiver.try_recv() {
@@ -762,22 +821,26 @@ fn dispatch(
         // else (typed as Shutdown, so the accounting identity holds).
         let now = Instant::now();
         let draining = shared.drain_deadline.lock().is_some_and(|d| d <= now);
-        let mut kept: Vec<Envelope> = Vec::with_capacity(envelopes.len());
-        for envelope in envelopes {
-            shared.release_tenant(envelope.tenant);
+        for envelope in envelopes.drain(..) {
+            match releases.last_mut() {
+                Some((tenant, slots)) if *tenant == envelope.tenant => *slots += 1,
+                _ => releases.push((envelope.tenant, 1)),
+            }
             if draining {
                 shared.shed(envelope.priority, ShedReason::Shutdown);
             } else if envelope.deadline.is_some_and(|d| d <= now) {
                 shared.shed(envelope.priority, ShedReason::DeadlineExpired);
             } else {
-                kept.push(envelope);
+                kept.push((envelope.submitted, envelope.priority));
+                requests.push(envelope.request);
             }
         }
-        if kept.is_empty() {
+        shared.release_tenants(&releases);
+        releases.clear();
+        if requests.is_empty() {
             continue;
         }
 
-        let requests: Vec<GemmRequest> = kept.iter().map(|e| e.request.clone()).collect();
         let report = scheduler.serve(&requests)?;
         waves += report.waves as u64;
         fleet_degraded |= report.fleet_degraded;
@@ -785,20 +848,9 @@ fn dispatch(
         // Chunk-granular completion stamp: every request in the chunk
         // finished by now, and the histogram's log2 buckets absorb the
         // sub-chunk skew.
-        let done = Instant::now();
-        for envelope in &kept {
-            let nanos = done
-                .saturating_duration_since(envelope.submitted)
-                .as_nanos()
-                .min(u64::MAX as u128) as u64;
-            if let Some(h) = shared.latency.get(envelope.priority.index()) {
-                h.record(nanos);
-            }
-            Shared::bump(&shared.class_served, envelope.priority);
-        }
-        shared
-            .served
-            .fetch_add(kept.len() as u64, Ordering::Relaxed); // atomic:role(counter)
+        shared.settle_chunk(Instant::now(), &kept);
+        requests.clear();
+        kept.clear();
         if let Some(snapshotter) = snapshotter.as_mut() {
             snapshotter.after_chunk(&scheduler, &shared);
         }
@@ -891,6 +943,75 @@ mod tests {
         ));
         assert_eq!(shared.queued.load(Ordering::Relaxed), 8);
         assert_eq!(tenant_total(), 8);
+    }
+
+    #[test]
+    fn dispatch_settles_a_mixed_chunk_once() {
+        use crate::cache::CachedSelector;
+        use crate::resilient::{ResilientExecutor, ResilientPolicy};
+        use crate::sched::{DeviceShard, SchedConfig};
+        use autokernel_sycl_sim::{DeviceSpec, Queue};
+
+        let selector = Arc::new(CachedSelector::new(crate::cache::tests::trained()));
+        let ranking = selector.selector().configs().to_vec();
+        let queue = Queue::timing_only(Arc::new(DeviceSpec::amd_r9_nano()));
+        let executor = ResilientExecutor::new(selector, queue, ranking, ResilientPolicy::default());
+        let scheduler = ShardedScheduler::new(
+            vec![DeviceShard::new("nano", executor)],
+            SchedConfig::default(),
+        )
+        .unwrap();
+
+        let (sender, receiver) = mpsc::sync_channel(16);
+        let shared = Arc::new(Shared::new());
+        let handle = IngressHandle {
+            sender,
+            shared: Arc::clone(&shared),
+            config: IngressConfig {
+                queue_capacity: 16,
+                ..IngressConfig::default()
+            },
+        };
+        // Three tenants interleaved across two classes, with repeat
+        // tenants inside one chunk and runs of each length.
+        let plan = [
+            (0, Priority::Interactive),
+            (1, Priority::Standard),
+            (1, Priority::Standard),
+            (2, Priority::Interactive),
+            (0, Priority::Standard),
+            (2, Priority::Interactive),
+            (0, Priority::Interactive),
+            (1, Priority::Standard),
+        ];
+        for (i, &(tenant, priority)) in plan.iter().enumerate() {
+            let shape = GemmShape::new(8 + i % 3, 8, 8);
+            let request = IngressRequest::new(GemmRequest::zeroed(shape))
+                .with_tenant(tenant)
+                .with_priority(priority);
+            assert_eq!(handle.submit(request).unwrap(), SubmitOutcome::Enqueued);
+        }
+        assert_eq!(shared.tenants.lock().len(), 3);
+        assert_eq!(shared.queued.load(Ordering::Relaxed), plan.len());
+        drop(handle);
+
+        // A chunk larger than the stream: one chunk serves everything.
+        let outcome = dispatch(scheduler, receiver, Arc::clone(&shared), 64, None).unwrap();
+        assert!(
+            shared.tenants.lock().is_empty(),
+            "every tenant slot released"
+        );
+        assert_eq!(shared.queued.load(Ordering::Relaxed), 0);
+        let report = report_from(&shared, outcome.waves, outcome.fleet_degraded);
+        assert!(report.accounted());
+        assert_eq!(report.served, plan.len() as u64);
+        for priority in Priority::ALL {
+            let i = priority.index();
+            let submitted = plan.iter().filter(|&&(_, p)| p == priority).count() as u64;
+            let class = &report.classes[i];
+            assert_eq!((class.submitted, class.served), (submitted, submitted));
+            assert_eq!(shared.latency[i].count(), class.served, "class {i}");
+        }
     }
 
     #[test]

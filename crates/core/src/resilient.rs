@@ -39,7 +39,6 @@ use autokernel_sycl_sim::perf::deterministic_noise;
 use autokernel_sycl_sim::trace::{FallbackLevel, LaunchDecision, TraceRecorder};
 use autokernel_sycl_sim::{Buffer, Event, PreparedLaunch, Queue, SimError};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -247,8 +246,9 @@ struct BatchDecision {
 
 /// A [`CachedSelector`] + [`Queue`] wrapped with retry, per-config
 /// circuit breakers and a fallback chain. Shareable across threads by
-/// reference (`&self` everywhere; clone the operand [`Buffer`]s per
-/// caller as usual).
+/// reference (`&self` everywhere). Launches borrow the caller's operand
+/// [`Buffer`]s: each candidate kernel binds `&Buffer`s, so serving a
+/// request touches no operand reference count.
 pub struct ResilientExecutor {
     selector: Arc<CachedSelector>,
     queue: Queue,
@@ -264,7 +264,9 @@ pub struct ResilientExecutor {
     /// serving device. Empty when no analysis was supplied (legacy
     /// [`ResilientExecutor::new`] path): every config is then trusted.
     invalid: Vec<bool>,
-    breakers: HashMap<usize, CircuitBreaker>,
+    /// One breaker per shipped configuration, sorted by configuration
+    /// index and found by binary search.
+    breakers: Vec<(usize, CircuitBreaker)>,
     /// Closed-loop refinement layer, attached via
     /// [`ResilientExecutor::with_online`]. When present, primary picks
     /// flow through it and every launch outcome — including fallback
@@ -283,12 +285,21 @@ impl ResilientExecutor {
         ranking: Vec<usize>,
         policy: ResilientPolicy,
     ) -> Self {
-        let mut breakers = HashMap::new();
-        for &cfg in ranking.iter().chain(selector.selector().configs()) {
-            breakers.entry(cfg).or_insert_with(|| {
-                CircuitBreaker::new(policy.breaker_threshold, policy.breaker_cooldown_s)
-            });
-        }
+        let mut indices: Vec<usize> = ranking
+            .iter()
+            .chain(selector.selector().configs())
+            .copied()
+            .collect();
+        indices.sort_unstable();
+        indices.dedup();
+        let breakers = indices
+            .into_iter()
+            .map(|cfg| {
+                let breaker =
+                    CircuitBreaker::new(policy.breaker_threshold, policy.breaker_cooldown_s);
+                (cfg, breaker)
+            })
+            .collect();
         let safe_queue = queue.without_faults();
         ResilientExecutor {
             selector,
@@ -378,24 +389,30 @@ impl ResilientExecutor {
         &self.queue
     }
 
+    /// The breaker guarding configuration `config_index`, if it is one
+    /// the executor can launch.
+    fn breaker(&self, config_index: usize) -> Option<&CircuitBreaker> {
+        let slot = self
+            .breakers
+            .binary_search_by_key(&config_index, |&(cfg, _)| cfg)
+            .ok()?;
+        self.breakers.get(slot).map(|(_, breaker)| breaker)
+    }
+
     /// The breaker state an observer would see for a configuration now.
     pub fn breaker_state(&self, config_index: usize) -> Option<BreakerState> {
-        self.breakers
-            .get(&config_index)
+        self.breaker(config_index)
             .map(|b| b.state(self.queue.now_s()))
     }
 
-    /// Configurations currently quarantined (breaker open).
+    /// Configurations currently quarantined (breaker open), ascending.
     pub fn quarantined(&self) -> Vec<usize> {
         let now = self.queue.now_s();
-        let mut out: Vec<usize> = self
-            .breakers
+        self.breakers
             .iter()
             .filter(|(_, b)| b.state(now) == BreakerState::Open)
-            .map(|(&cfg, _)| cfg)
-            .collect();
-        out.sort_unstable();
-        out
+            .map(|&(cfg, _)| cfg)
+            .collect()
     }
 
     /// Execute `C = A · B` for `shape`, guaranteeing completion: the
@@ -528,10 +545,11 @@ impl ResilientExecutor {
             .filter(|_| primary_ok)
             .chain(self.ranking.iter().copied().filter(|&r| r != primary));
         for (depth, cfg_idx) in candidates.enumerate() {
+            let breaker = self.breaker(cfg_idx);
             let effective_depth = if primary_ok { depth } else { depth + 1 };
             let config =
                 KernelConfig::from_index(cfg_idx).ok_or(CoreError::BadConfigIndex(cfg_idx))?;
-            let kernel = TiledGemmKernel::new(config, shape, a.clone(), b.clone(), c.clone())?;
+            let kernel = TiledGemmKernel::new(config, shape, a, b, c)?;
             let range = kernel.preferred_range()?;
             // Profile, price and name depend only on (shape, config,
             // device): the primary keeps its prepared launch for the
@@ -540,7 +558,7 @@ impl ResilientExecutor {
             let mut backoff_s = self.policy.base_backoff_s;
 
             for attempt in 0..self.policy.max_attempts.max(1) {
-                if let Some(breaker) = self.breakers.get(&cfg_idx) {
+                if let Some(breaker) = breaker {
                     if !breaker.admit(self.queue.now_s()) {
                         telemetry.record_quarantine_skip();
                         break; // quarantined: next candidate
@@ -558,7 +576,7 @@ impl ResilientExecutor {
                     };
                 match submitted {
                     Ok(event) => {
-                        if let Some(breaker) = self.breakers.get(&cfg_idx) {
+                        if let Some(breaker) = breaker {
                             breaker.on_success();
                         }
                         if let Some(online) = &self.online {
@@ -587,10 +605,7 @@ impl ResilientExecutor {
                     Err(error) => {
                         telemetry.record_launch_failure();
                         let now = self.queue.now_s();
-                        let tripped = match self.breakers.get(&cfg_idx) {
-                            Some(breaker) => breaker.on_failure(now),
-                            None => false,
-                        };
+                        let tripped = breaker.is_some_and(|breaker| breaker.on_failure(now));
                         if tripped {
                             telemetry.record_breaker_trip();
                         }
@@ -637,7 +652,7 @@ impl ResilientExecutor {
         // Terminal rung: the reference GEMM on the fault-free queue.
         // Exact results, untuned speed, cannot be quarantined.
         telemetry.record_fallback_reference();
-        let kernel = ReferenceGemmKernel::new(shape, a.clone(), b.clone(), c.clone())?;
+        let kernel = ReferenceGemmKernel::new(shape, a, b, c)?;
         let range = kernel.preferred_range()?;
         let event = self.safe_queue.submit(&kernel, range)?;
         let decision = LaunchDecision::new(primary, batch.outcome.cache_hit)

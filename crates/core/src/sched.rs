@@ -795,29 +795,28 @@ impl ShardedScheduler {
     /// `None` (every live queue is full).
     fn route(&mut self, batch: &Batch, wave_queues: &[Vec<Batch>]) -> Option<(usize, bool)> {
         let capacity = self.config.queue_capacity.max(1);
-        let alive: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .map(|(i, _)| i)
-            .collect();
-        if alive.is_empty() {
+        let shards = &self.shards;
+        // Live shard indices, ascending; iterated in place, so routing
+        // a batch allocates nothing.
+        let alive = || {
+            shards
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.alive)
+                .map(|(i, _)| i)
+        };
+        let live = alive().count();
+        if live == 0 {
             return None;
         }
         let queued = |i: usize| wave_queues.get(i).map(Vec::len).unwrap_or(capacity);
         let preferred = match self.config.policy {
             RoutingPolicy::RoundRobin => {
-                let pick = alive
-                    .get(self.rr_cursor % alive.len())
-                    .copied()
-                    .unwrap_or(0);
+                let pick = alive().nth(self.rr_cursor % live).unwrap_or(0);
                 self.rr_cursor = self.rr_cursor.wrapping_add(1);
                 pick
             }
-            RoutingPolicy::LeastLoaded | RoutingPolicy::PerfAware => alive
-                .iter()
-                .copied()
+            RoutingPolicy::LeastLoaded | RoutingPolicy::PerfAware => alive()
                 .map(|i| (i, self.load_after(i, batch)))
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .map(|(i, _)| i)
@@ -830,9 +829,7 @@ impl ShardedScheduler {
         // one with the least projected load — the same metric the
         // least-loaded policy uses, so stolen work still lands where it
         // finishes soonest (ties to the lowest index: deterministic).
-        alive
-            .iter()
-            .copied()
+        alive()
             .filter(|&i| queued(i) < capacity)
             .map(|i| (i, self.load_after(i, batch)))
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))

@@ -15,36 +15,45 @@ use autokernel_sycl_sim::perf::KernelProfile;
 use autokernel_sycl_sim::runtime::{Buffer, NDRange, SimKernel};
 use autokernel_sycl_sim::{DeviceSpec, Result, SimError};
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::fmt::Write;
 
 /// A launchable tiled GEMM `C = A · B` for one configuration.
-pub struct TiledGemmKernel {
+///
+/// `B` is how the kernel holds its operands: owned [`Buffer`]s (the
+/// default) or borrowed `&Buffer`s, which bind a request's operands
+/// without touching their reference counts.
+pub struct TiledGemmKernel<B = Buffer<f32>> {
     config: KernelConfig,
     shape: GemmShape,
-    a: Buffer<f32>,
-    b: Buffer<f32>,
-    c: Buffer<f32>,
+    a: B,
+    b: B,
+    c: B,
 }
 
-impl TiledGemmKernel {
+/// Check that operand lengths agree with `shape`. A buffer's length is
+/// fixed at construction, so the check holds until the kernel runs.
+pub(crate) fn check_operands(
+    shape: GemmShape,
+    a: &Buffer<f32>,
+    b: &Buffer<f32>,
+    c: &Buffer<f32>,
+) -> Result<()> {
+    if a.len() != shape.m * shape.k || b.len() != shape.k * shape.n || c.len() != shape.m * shape.n
+    {
+        return Err(SimError::BadLaunch(format!(
+            "buffer sizes do not match shape {shape}"
+        )));
+    }
+    Ok(())
+}
+
+impl<B: Borrow<Buffer<f32>>> TiledGemmKernel<B> {
     /// Bind a kernel to its operands.
     ///
     /// Fails if buffer lengths disagree with `shape`.
-    pub fn new(
-        config: KernelConfig,
-        shape: GemmShape,
-        a: Buffer<f32>,
-        b: Buffer<f32>,
-        c: Buffer<f32>,
-    ) -> Result<Self> {
-        if a.len() != shape.m * shape.k
-            || b.len() != shape.k * shape.n
-            || c.len() != shape.m * shape.n
-        {
-            return Err(SimError::BadLaunch(format!(
-                "buffer sizes do not match shape {shape}"
-            )));
-        }
+    pub fn new(config: KernelConfig, shape: GemmShape, a: B, b: B, c: B) -> Result<Self> {
+        check_operands(shape, a.borrow(), b.borrow(), c.borrow())?;
         Ok(TiledGemmKernel {
             config,
             shape,
@@ -71,7 +80,7 @@ impl TiledGemmKernel {
     }
 }
 
-impl SimKernel for TiledGemmKernel {
+impl<B: Borrow<Buffer<f32>> + Send + Sync> SimKernel for TiledGemmKernel<B> {
     fn name(&self) -> String {
         // One allocation: `format!` starts from a 12-byte guess and
         // grows twice on a typical name.
@@ -91,9 +100,9 @@ impl SimKernel for TiledGemmKernel {
             self.config.tile_cols,
             self.config.acc_depth,
         );
-        let a = self.a.read();
-        let b = self.b.read();
-        let mut c = self.c.write();
+        let a = self.a.borrow().read();
+        let b = self.b.borrow().read();
+        let mut c = self.c.borrow().write();
         if c.is_empty() {
             return Ok(()); // an empty product has nothing to write
         }

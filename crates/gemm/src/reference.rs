@@ -1,10 +1,12 @@
 //! Reference GEMM implementations used to validate the kernel family.
 
+use crate::kernel::check_operands;
 use crate::shape::GemmShape;
 use autokernel_sycl_sim::perf::KernelProfile;
 use autokernel_sycl_sim::runtime::{Buffer, NDRange, SimKernel};
-use autokernel_sycl_sim::{DeviceSpec, Result, SimError};
+use autokernel_sycl_sim::{DeviceSpec, Result};
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::fmt::Write;
 
 /// Straightforward row-major reference: `C = A · B`.
@@ -84,26 +86,22 @@ pub fn test_matrices(shape: GemmShape, seed: u64) -> (Vec<f32>, Vec<f32>) {
 /// configuration, stages nothing through local memory, and asks for a
 /// modest fixed work-group — so it launches on *every* shipped device
 /// and computes the exact answer, at untuned-baseline speed.
-pub struct ReferenceGemmKernel {
+///
+/// Operands are owned or borrowed, as for
+/// [`crate::TiledGemmKernel`].
+pub struct ReferenceGemmKernel<B = Buffer<f32>> {
     shape: GemmShape,
-    a: Buffer<f32>,
-    b: Buffer<f32>,
-    c: Buffer<f32>,
+    a: B,
+    b: B,
+    c: B,
 }
 
-impl ReferenceGemmKernel {
+impl<B: Borrow<Buffer<f32>>> ReferenceGemmKernel<B> {
     /// Bind the reference kernel to its operands.
     ///
     /// Fails if buffer lengths disagree with `shape`.
-    pub fn new(shape: GemmShape, a: Buffer<f32>, b: Buffer<f32>, c: Buffer<f32>) -> Result<Self> {
-        if a.len() != shape.m * shape.k
-            || b.len() != shape.k * shape.n
-            || c.len() != shape.m * shape.n
-        {
-            return Err(SimError::BadLaunch(format!(
-                "buffer sizes do not match shape {shape}"
-            )));
-        }
+    pub fn new(shape: GemmShape, a: B, b: B, c: B) -> Result<Self> {
+        check_operands(shape, a.borrow(), b.borrow(), c.borrow())?;
         Ok(ReferenceGemmKernel { shape, a, b, c })
     }
 
@@ -119,7 +117,7 @@ impl ReferenceGemmKernel {
     }
 }
 
-impl SimKernel for ReferenceGemmKernel {
+impl<B: Borrow<Buffer<f32>> + Send + Sync> SimKernel for ReferenceGemmKernel<B> {
     fn name(&self) -> String {
         // One allocation, as in `TiledGemmKernel::name`.
         let mut name = String::with_capacity(64);
@@ -145,9 +143,9 @@ impl SimKernel for ReferenceGemmKernel {
     }
 
     fn execute(&self, _range: &NDRange) -> Result<()> {
-        let a = self.a.read();
-        let b = self.b.read();
-        let mut c = self.c.write();
+        let a = self.a.borrow().read();
+        let b = self.b.borrow().read();
+        let mut c = self.c.borrow().write();
         parallel_reference_gemm(self.shape, &a, &b, &mut c);
         Ok(())
     }

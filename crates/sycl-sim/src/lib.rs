@@ -37,8 +37,8 @@ pub use feedback::LaunchMeasurement;
 pub use perf::{KernelCost, KernelProfile};
 pub use resources::{check_launch, footprint, ResourceFootprint};
 pub use runtime::{
-    validate_launch, Buffer, CompletionStatus, Context, Event, NDRange, Platform, PreparedLaunch,
-    Queue, SimClock, SimKernel,
+    validate_launch, Buffer, BufferWriteGuard, CompletionStatus, Context, Event, NDRange, Platform,
+    PreparedLaunch, Queue, SimClock, SimKernel,
 };
 pub use trace::{FallbackLevel, LaunchDecision, TraceRecorder};
 

@@ -5,12 +5,19 @@
 //! between host and "device". Kernel bodies execute on the host (rayon
 //! parallel, real results); event timestamps come from the analytical
 //! device model, advancing a per-queue simulated clock.
+//!
+//! Nothing a launch reads per submission takes a lock: a [`Buffer`]'s
+//! length is fixed at construction and stored beside its storage, and
+//! the simulated clock is one atomic holding the `f64` bits, advanced
+//! by a compare-exchange loop (see [`Queue::submit_prepared`]).
 
 use crate::device::DeviceSpec;
 use crate::fault::{FaultError, FaultKind, FaultPlan};
 use crate::perf::{self, KernelCost, KernelProfile};
 use crate::{Result, SimError};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A two-dimensional ND-range: global dispatch size and work-group size.
@@ -86,15 +93,41 @@ impl NDRange {
 ///
 /// Cloning is shallow (the clone aliases the same storage), matching
 /// SYCL buffer semantics where copies refer to the same memory object.
+/// The length is fixed at construction: [`Buffer::write`] hands out a
+/// slice, never the `Vec`, so a kernel that checked the length at bind
+/// time can index by it at execute time.
 #[derive(Debug, Clone)]
 pub struct Buffer<T> {
     data: Arc<RwLock<Vec<T>>>,
+    /// The storage's length, kept beside the `Arc` so reading it takes
+    /// no lock.
+    len: usize,
+}
+
+/// Exclusive write access to a [`Buffer`]'s elements, returned by
+/// [`Buffer::write`]. It derefs to `[T]`, not `Vec<T>`: writers change
+/// elements, never the buffer's length.
+pub struct BufferWriteGuard<'a, T>(RwLockWriteGuard<'a, Vec<T>>);
+
+impl<T> Deref for BufferWriteGuard<'_, T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for BufferWriteGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.0
+    }
 }
 
 impl<T: Clone + Send + Sync> Buffer<T> {
     /// Create a buffer owning `data`.
     pub fn from_vec(data: Vec<T>) -> Self {
         Buffer {
+            len: data.len(),
             data: Arc::new(RwLock::new(data)),
         }
     }
@@ -104,9 +137,9 @@ impl<T: Clone + Send + Sync> Buffer<T> {
         Buffer::from_vec(vec![value; len])
     }
 
-    /// Number of elements.
+    /// Number of elements (fixed for the buffer's lifetime).
     pub fn len(&self) -> usize {
-        self.data.read().len()
+        self.len
     }
 
     /// Whether the buffer is empty.
@@ -119,9 +152,9 @@ impl<T: Clone + Send + Sync> Buffer<T> {
         self.data.read()
     }
 
-    /// Write accessor (exclusive).
-    pub fn write(&self) -> RwLockWriteGuard<'_, Vec<T>> {
-        self.data.write()
+    /// Write accessor (exclusive) over the elements.
+    pub fn write(&self) -> BufferWriteGuard<'_, T> {
+        BufferWriteGuard(self.data.write())
     }
 
     /// Copy the contents out to the host.
@@ -264,6 +297,35 @@ pub struct PreparedLaunch {
     duration_s: f64,
 }
 
+/// A simulated device clock: the bits of an `f64` count of seconds in
+/// one atomic, so reading it takes no lock.
+type ClockCell = Arc<AtomicU64>;
+
+/// The current time on `clock`, in simulated seconds.
+fn read_clock(clock: &AtomicU64) -> f64 {
+    f64::from_bits(clock.load(Ordering::Acquire)) // atomic:role(publish)
+}
+
+/// Move `clock` from its current time `now` to `next(now)` and return
+/// `now`. A compare-exchange loop: a submitter that loses a race
+/// re-reads the clock and recomputes, so concurrent submitters
+/// serialise exactly as under a lock, and every stored time is
+/// `next` of the time it replaced. The release on success publishes
+/// the launch (its kernel body's writes included) to any thread that
+/// reads the advanced clock.
+fn advance_clock(clock: &AtomicU64, next: impl Fn(f64) -> f64) -> f64 {
+    let mut current = clock.load(Ordering::Acquire); // atomic:role(publish)
+    loop {
+        let now = f64::from_bits(current);
+        let next_bits = next(now).to_bits();
+        // atomic:role(publish)
+        match clock.compare_exchange_weak(current, next_bits, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => return now,
+            Err(actual) => current = actual,
+        }
+    }
+}
+
 /// A device execution context: queues created from the same context
 /// share the device's timeline, so their launches serialise against
 /// each other — the contention a real single device imposes on
@@ -271,7 +333,7 @@ pub struct PreparedLaunch {
 #[derive(Clone)]
 pub struct Context {
     device: Arc<DeviceSpec>,
-    clock_s: Arc<Mutex<f64>>,
+    clock_s: ClockCell,
 }
 
 impl Context {
@@ -279,7 +341,7 @@ impl Context {
     pub fn new(device: Arc<DeviceSpec>) -> Self {
         Context {
             device,
-            clock_s: Arc::new(Mutex::new(0.0)),
+            clock_s: Arc::new(AtomicU64::new(0.0f64.to_bits())),
         }
     }
 
@@ -309,7 +371,7 @@ impl Context {
 
     /// Current simulated time on the shared device clock.
     pub fn now_s(&self) -> f64 {
-        *self.clock_s.lock()
+        read_clock(&self.clock_s)
     }
 }
 
@@ -320,13 +382,13 @@ impl Context {
 /// the queues themselves.
 #[derive(Clone)]
 pub struct SimClock {
-    clock_s: Arc<Mutex<f64>>,
+    clock_s: ClockCell,
 }
 
 impl SimClock {
     /// Current simulated time on the shared clock.
     pub fn now_s(&self) -> f64 {
-        *self.clock_s.lock()
+        read_clock(&self.clock_s)
     }
 
     /// Whether two handles observe the same underlying clock.
@@ -349,7 +411,7 @@ impl SimClock {
 #[derive(Clone)]
 pub struct Queue {
     device: Arc<DeviceSpec>,
-    clock_s: Arc<Mutex<f64>>,
+    clock_s: ClockCell,
     /// Noise amplitude applied to modelled durations (0 disables).
     noise_amplitude: f64,
     /// When false, kernel bodies are skipped and only timing is modelled
@@ -417,8 +479,7 @@ impl Queue {
     /// sleeping the host thread.
     pub fn wait(&self, seconds: f64) {
         if seconds > 0.0 {
-            let mut clock = self.clock_s.lock();
-            *clock += seconds;
+            advance_clock(&self.clock_s, |now| now + seconds);
         }
     }
 
@@ -481,10 +542,9 @@ impl Queue {
                 // The failed launch still occupies the device: charge
                 // the consumed time to the shared clock so retries and
                 // fallbacks pay for the failure they recover from.
-                let mut clock = self.clock_s.lock();
                 let dep_end = deps.iter().map(|e| e.end_s).fold(0.0f64, f64::max);
-                let start = clock.max(dep_end);
-                *clock = start + consumed;
+                let start =
+                    advance_clock(&self.clock_s, |now| now.max(dep_end) + consumed).max(dep_end);
                 return Err(SimError::Fault(FaultError {
                     kind,
                     kernel: launch.name.to_string(),
@@ -498,11 +558,13 @@ impl Queue {
             kernel.execute(&launch.range)?;
         }
 
-        let mut clock = self.clock_s.lock();
+        // `start` and `end` are the expressions the stored time was
+        // computed from, so the event's timestamps equal the clock's
+        // bit for bit.
         let dep_end = deps.iter().map(|e| e.end_s).fold(0.0f64, f64::max);
-        let start = clock.max(dep_end);
+        let start =
+            advance_clock(&self.clock_s, |now| now.max(dep_end) + launch.duration_s).max(dep_end);
         let end = start + launch.duration_s;
-        *clock = end;
         Ok(Event {
             kernel_name: Arc::clone(&launch.name),
             start_s: start,
@@ -561,7 +623,7 @@ impl Queue {
 
     /// Current simulated time on this queue.
     pub fn now_s(&self) -> f64 {
-        *self.clock_s.lock()
+        read_clock(&self.clock_s)
     }
 
     /// A [`SimClock`] handle sharing this queue's timeline.

@@ -10,11 +10,13 @@
 #                              audit (atomic roles, lock order, model
 #                              checker), the serving examples, the
 #                              end-to-end benchmark's build, tests, a
-#                              short run of each gated workload and a
-#                              traced run of each against its
-#                              allocations-per-request ceiling, and
-#                              the bench-regression gate (the default,
-#                              and what CI runs)
+#                              short run of each gated workload, a
+#                              traced run of each against the golden of
+#                              its deterministic counts and its
+#                              allocations-per-request ceiling
+#                              (scripts/perfbench_counts.sh), and the
+#                              bench-regression gate (the default, and
+#                              what CI runs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -134,24 +136,8 @@ for workload in resnet50_hot shape_churn; do
     echo "    ${workload}: correct"
 done
 
-echo "==> end-to-end benchmark traced allocation ceilings (sched.allocs_per_req)"
-for gate in resnet50_hot:1.0 shape_churn:4.0; do
-    workload="${gate%%:*}"
-    ceiling="${gate##*:}"
-    if ! out=$(cargo run --quiet --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
-        --seed 1 --workload "${workload}" --trace 1) ||
-        ! grep -q '"correct": true' <<< "${out}"; then
-        echo "${out}"
-        echo "    FAIL: traced ${workload} must exit 0 and print \"correct\": true" >&2
-        exit 1
-    fi
-    allocs=$(grep -o '"sched.allocs_per_req": {"value": [^,}]*' <<< "${out}" | awk '{print $NF}')
-    if [ -z "${allocs}" ] || ! awk -v v="${allocs}" -v max="${ceiling}" 'BEGIN { exit !(v <= max) }'; then
-        echo "    FAIL: ${workload} sched.allocs_per_req ${allocs:-missing} exceeds ${ceiling}" >&2
-        exit 1
-    fi
-    echo "    ${workload}: sched.allocs_per_req ${allocs} <= ${ceiling}"
-done
+echo "==> end-to-end benchmark traced counts golden + allocation ceilings (scripts/perfbench_counts.sh)"
+scripts/perfbench_counts.sh
 
 echo "==> bench-regression gate (scripts/bench_gate.sh)"
 scripts/bench_gate.sh
