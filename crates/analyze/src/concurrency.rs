@@ -54,12 +54,13 @@ use std::path::Path;
 /// Tool name recorded in the SARIF run.
 pub const TOOL_NAME: &str = "concurrency-auditor";
 
-/// The audited modules: `(label, workspace-relative path)`. Five core
+/// The audited modules: `(label, workspace-relative path)`. Six core
 /// serving modules, the simulated runtime (its lock-free device clock
 /// and buffer locks sit under every launch), plus the hand-rolled
 /// `parking_lot` synchronisation shim.
-pub const AUDIT_TARGETS: [(&str, &str); 7] = [
+pub const AUDIT_TARGETS: [(&str, &str); 8] = [
     ("core::cache", "crates/core/src/cache.rs"),
+    ("core::telemetry", "crates/core/src/telemetry.rs"),
     ("core::ingress", "crates/core/src/ingress.rs"),
     ("core::online", "crates/core/src/online.rs"),
     ("core::sched", "crates/core/src/sched.rs"),

@@ -6,8 +6,6 @@
 //! exhaustively exploring thread interleavings of small-bound models of
 //! the hand-rolled primitives:
 //!
-//! - the `ShardedCache` bounded-LRU insert path with CountingBloom
-//!   admission,
 //! - `LatencyHistogram::record`'s bucket-then-count publication,
 //! - the `OnlineSelector` drift flip (generation bump published before
 //!   the adaptive flag), and
@@ -362,8 +360,6 @@ impl WeakMemory {
 /// The modelled subsystems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Model {
-    /// ShardedCache bounded-LRU insert with CountingBloom admission.
-    Cache,
     /// LatencyHistogram bucket-then-count publication.
     Histogram,
     /// OnlineSelector drift flip: generation bump before adaptive flag.
@@ -375,12 +371,11 @@ pub enum Model {
 
 impl Model {
     /// All models, in reporting order.
-    pub const ALL: [Model; 4] = [Model::Cache, Model::Histogram, Model::Drift, Model::Ingress];
+    pub const ALL: [Model; 3] = [Model::Histogram, Model::Drift, Model::Ingress];
 
     /// Stable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
-            Model::Cache => "cache-admission",
             Model::Histogram => "latency-histogram",
             Model::Drift => "drift-publication",
             Model::Ingress => "ingress-accounting",
@@ -392,12 +387,6 @@ impl Model {
 /// variant of one model, mirroring a real class of concurrency bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Bloom increment as separate load + store instead of one RMW:
-    /// concurrent observes lose updates.
-    CacheTornBloom,
-    /// Capacity check outside the shard lock (check-then-act): two
-    /// inserters both pass and overflow the shard.
-    CacheCheckThenAct,
     /// `count` increment relaxed instead of release: a reader can
     /// observe the new count with a stale bucket.
     HistogramRelaxedCount,
@@ -425,9 +414,7 @@ pub enum Mutation {
 
 impl Mutation {
     /// All mutations, in reporting order.
-    pub const ALL: [Mutation; 10] = [
-        Mutation::CacheTornBloom,
-        Mutation::CacheCheckThenAct,
+    pub const ALL: [Mutation; 8] = [
         Mutation::HistogramRelaxedCount,
         Mutation::HistogramTornCount,
         Mutation::DriftRelaxedFlagStore,
@@ -441,7 +428,6 @@ impl Mutation {
     /// The model this mutation breaks.
     pub fn model(&self) -> Model {
         match self {
-            Mutation::CacheTornBloom | Mutation::CacheCheckThenAct => Model::Cache,
             Mutation::HistogramRelaxedCount | Mutation::HistogramTornCount => Model::Histogram,
             Mutation::DriftRelaxedFlagStore | Mutation::DriftFlipBeforeBump => Model::Drift,
             Mutation::IngressLeakTenantOnShed
@@ -454,8 +440,6 @@ impl Mutation {
     /// Stable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
-            Mutation::CacheTornBloom => "torn-bloom-increment",
-            Mutation::CacheCheckThenAct => "capacity-check-then-act",
             Mutation::HistogramRelaxedCount => "relaxed-count-publish",
             Mutation::HistogramTornCount => "torn-count-increment",
             Mutation::DriftRelaxedFlagStore => "relaxed-flag-store",
@@ -473,7 +457,6 @@ pub fn check(model: Model, mutation: Option<Mutation>) -> Result<Exploration, Co
     debug_assert!(mutation.is_none_or(|m| m.model() == model));
     let explorer = Explorer::default();
     match model {
-        Model::Cache => explorer.explore(|t| run_cache(t, mutation)),
         Model::Histogram => explorer.explore(|t| run_histogram(t, mutation)),
         Model::Drift => explorer.explore(|t| run_drift(t, mutation)),
         Model::Ingress => explorer.explore(|t| run_ingress(t, mutation)),
@@ -524,108 +507,6 @@ pub fn self_check() -> Vec<ModelCheckRow> {
         rows.push(row);
     }
     rows
-}
-
-// ---------------------------- cache model ----------------------------
-
-/// Two inserters of distinct shapes into one capacity-1 shard, each
-/// first observing the CountingBloom (admission threshold 1). The bloom
-/// counter is a single RMW; the shard insert (contains check, LRU
-/// evict, insert) is one coarse locked step.
-struct CacheState {
-    bloom: u64,
-    /// Torn-increment staging: the loaded value per thread.
-    staged: [Option<u64>; 2],
-    entries: Vec<u64>,
-    /// Unlocked capacity pre-check result (check-then-act mutation).
-    precheck: [bool; 2],
-    evictions: usize,
-    pc: [usize; 2],
-}
-
-fn run_cache(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), String> {
-    let torn = matches!(mutation, Some(Mutation::CacheTornBloom));
-    let check_then_act = matches!(mutation, Some(Mutation::CacheCheckThenAct));
-    let cap = 1usize;
-    let mut st = CacheState {
-        bloom: 0,
-        staged: [None; 2],
-        entries: Vec::new(),
-        precheck: [false; 2],
-        evictions: 0,
-        pc: [0; 2],
-    };
-    // Program: 0 = observe bloom (torn: load), 1 = (torn: store),
-    // 2 = (check-then-act: unlocked capacity check), 3 = locked insert,
-    // 4 = done. Faithful threads skip the stages their mutation owns.
-    let done = 4usize;
-    drive(
-        trace,
-        &mut st,
-        2,
-        |s, t| s.pc[t] == done,
-        |_, _| true,
-        |s, t, _trace| {
-            match s.pc[t] {
-                0 => {
-                    if torn {
-                        s.staged[t] = Some(s.bloom);
-                        s.pc[t] = 1;
-                    } else {
-                        s.bloom += 1;
-                        s.pc[t] = 2;
-                    }
-                }
-                1 => {
-                    s.bloom = s.staged[t].unwrap_or(0) + 1;
-                    s.pc[t] = 2;
-                }
-                2 => {
-                    if check_then_act {
-                        s.precheck[t] = s.entries.len() < cap;
-                    }
-                    s.pc[t] = 3;
-                }
-                _ => {
-                    let key = t as u64 + 1;
-                    if check_then_act {
-                        // Mutated: trust the stale unlocked check.
-                        if s.precheck[t] {
-                            s.entries.push(key);
-                        }
-                    } else if !s.entries.contains(&key) {
-                        if s.entries.len() == cap {
-                            s.entries.remove(0);
-                            s.evictions += 1;
-                        }
-                        s.entries.push(key);
-                    }
-                    if s.entries.len() > cap {
-                        return Err(format!(
-                            "shard overflow: {} entries with capacity {cap}",
-                            s.entries.len()
-                        ));
-                    }
-                    s.pc[t] = done;
-                }
-            }
-            Ok(())
-        },
-    )?;
-    if st.bloom != 2 {
-        return Err(format!(
-            "bloom lost an update: {} observes recorded for 2 observers",
-            st.bloom
-        ));
-    }
-    if st.entries.len() != 1 || st.evictions != 1 {
-        return Err(format!(
-            "LRU conservation broken: {} entries, {} evictions (expected 1, 1)",
-            st.entries.len(),
-            st.evictions
-        ));
-    }
-    Ok(())
 }
 
 // -------------------------- histogram model --------------------------

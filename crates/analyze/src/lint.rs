@@ -53,7 +53,7 @@ use std::path::Path;
 /// door takes down every device's traffic at once; the snapshot
 /// restore path is included because a corrupted snapshot must degrade
 /// typed, never panic a restarting server.
-pub const HOT_PATH_FILES: [&str; 13] = [
+pub const HOT_PATH_FILES: [&str; 14] = [
     "crates/core/src/cache.rs",
     "crates/core/src/ingress.rs",
     "crates/core/src/online.rs",
@@ -61,6 +61,7 @@ pub const HOT_PATH_FILES: [&str; 13] = [
     "crates/core/src/resilient.rs",
     "crates/core/src/sched.rs",
     "crates/core/src/select.rs",
+    "crates/core/src/telemetry.rs",
     "crates/mlkit/src/forest.rs",
     "crates/mlkit/src/kmeans.rs",
     "crates/mlkit/src/knn.rs",
@@ -74,7 +75,7 @@ pub const HOT_PATH_FILES: [&str; 13] = [
 /// additionally carry the `no-alloc` rule (ROADMAP item 4): a malloc on
 /// this path costs more than the decision itself. Matched by file name
 /// so both workspace-relative and absolute invocations agree.
-pub const DECIDE_PATH_FILES: [&str; 3] = ["cache.rs", "online.rs", "select.rs"];
+pub const DECIDE_PATH_FILES: [&str; 4] = ["cache.rs", "online.rs", "select.rs", "telemetry.rs"];
 
 /// Files carrying *only* the `no-partial-cmp` rule: training-time code
 /// whose NaN-ordering panics were swept in the hdbscan/svm/tree/eigen

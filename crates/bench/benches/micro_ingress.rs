@@ -15,8 +15,8 @@
 use autokernel_bench::{paper_dataset, save_result};
 use autokernel_core::resilient::ResilientPolicy;
 use autokernel_core::{
-    BoundedCacheConfig, DeviceShard, GemmRequest, Ingress, IngressConfig, IngressRequest,
-    LatencyHistogram, PipelineConfig, Priority, RoutingPolicy, SchedConfig, ShardedCache,
+    BoundedCacheConfig, DecisionCache, DeviceShard, GemmRequest, Ingress, IngressConfig,
+    IngressRequest, LatencyHistogram, PipelineConfig, Priority, RoutingPolicy, SchedConfig,
     ShardedScheduler, TenantQuota, TuningPipeline,
 };
 use autokernel_gemm::GemmShape;
@@ -107,14 +107,11 @@ fn bench_ingress(c: &mut Criterion) {
     // Hot-path primitives first: these run once per request on the
     // serving path, so their host cost is worth tracking on its own.
     let histogram = LatencyHistogram::new();
-    let cache = ShardedCache::bounded(
-        8,
-        BoundedCacheConfig {
-            capacity: CACHE_CAPACITY,
-            admit_threshold: 1,
-            ..BoundedCacheConfig::default()
-        },
-    );
+    let cache = DecisionCache::bounded(BoundedCacheConfig {
+        capacity: CACHE_CAPACITY,
+        admit_threshold: 1,
+        ..BoundedCacheConfig::default()
+    });
     let probe = GemmShape::new(512, 512, 512);
     cache.insert(probe, 123);
 

@@ -1,5 +1,5 @@
-//! Concurrent serving layer: a sharded shape→configuration decision
-//! cache with selection telemetry.
+//! Serving layer: a shape→configuration decision cache in front of the
+//! trained selector.
 //!
 //! The paper's pitch for decision trees is *deployment latency*: the
 //! selector sits on the hot path of every GEMM dispatch. In a serving
@@ -8,29 +8,26 @@
 //! that the decision is a hash-map lookup. [`CachedSelector`] wraps a
 //! trained [`Selector`] with exactly that memoisation:
 //!
-//! * the cache is split into [`DEFAULT_SHARDS`] independent
-//!   [`RwLock`]-protected shards, indexed by the shape's
-//!   [`GemmShape::stable_hash`], so read-mostly traffic from many
-//!   threads never contends on a single lock;
+//! * the memo is one [`DecisionCache`] table behind one mutex. A single
+//!   ingress dispatcher makes every serving decision, so the lock is
+//!   uncontended there; it stays so the selector can still be shared by
+//!   `Arc` among the executor, the online layer and the pipeline;
 //! * every decision updates a lock-free [`SelectionTelemetry`] block —
 //!   hit/miss counters, per-shipped-configuration pick counts and
 //!   latency accumulators — cheap enough to leave on in production and
 //!   exactly what you need to see whether the shipped set still matches
 //!   the traffic mix.
 
+use crate::persist::{BloomState, CacheEntryState, CacheRestoreStats, CacheShardState, CacheState};
 use crate::select::Selector;
+use crate::telemetry::SelectionTelemetry;
 use crate::Result;
 use autokernel_gemm::GemmShape;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Default shard count: enough to make lock collisions rare at typical
-/// host thread counts without bloating the cache's footprint.
-pub const DEFAULT_SHARDS: usize = 16;
 
 /// A counting Bloom filter over GEMM shapes: a fixed array of 8-bit
 /// saturating counters indexed by `k` double-hashed probes of the
@@ -47,9 +44,9 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// over-estimates at exactly the classic Bloom false-positive rate.
 #[derive(Debug)]
 pub struct CountingBloom {
-    counters: Vec<AtomicU8>,
+    counters: Vec<u8>,
     hashes: u32,
-    observed: AtomicU64,
+    observed: u64,
 }
 
 impl CountingBloom {
@@ -57,9 +54,9 @@ impl CountingBloom {
     /// functions (both clamped to at least 1).
     pub fn new(counters: usize, hashes: u32) -> Self {
         CountingBloom {
-            counters: (0..counters.max(1)).map(|_| AtomicU8::new(0)).collect(),
+            counters: vec![0; counters.max(1)],
             hashes: hashes.max(1),
-            observed: AtomicU64::new(0),
+            observed: 0,
         }
     }
 
@@ -76,36 +73,17 @@ impl CountingBloom {
 
     /// Count one occurrence of `shape` and return the *new* estimated
     /// occurrence count (the minimum probed counter after increment).
-    pub fn observe(&self, shape: &GemmShape) -> u8 {
-        self.observed.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
+    /// Increments saturate, so a counter never wraps back to "rare"
+    /// once a shape has earned its admission.
+    pub fn observe(&mut self, shape: &GemmShape) -> u8 {
+        self.observed += 1;
         let mut min = u8::MAX;
         for i in 0..self.hashes {
             let idx = self.probe(shape, i);
-            let Some(counter) = self.counters.get(idx) else {
-                continue;
-            };
-            // Saturating increment via CAS: counters never wrap back to
-            // "rare" once a shape has earned its admission.
-            let mut current = counter.load(Ordering::Relaxed); // atomic:role(counter)
-            loop {
-                if current == u8::MAX {
-                    break;
-                }
-                // atomic:role(counter)
-                match counter.compare_exchange_weak(
-                    current,
-                    current + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        current += 1;
-                        break;
-                    }
-                    Err(seen) => current = seen,
-                }
+            if let Some(counter) = self.counters.get_mut(idx) {
+                *counter = counter.saturating_add(1);
+                min = min.min(*counter);
             }
-            min = min.min(current);
         }
         min
     }
@@ -116,8 +94,8 @@ impl CountingBloom {
         let mut min = u8::MAX;
         for i in 0..self.hashes {
             let idx = self.probe(shape, i);
-            if let Some(counter) = self.counters.get(idx) {
-                min = min.min(counter.load(Ordering::Relaxed)); // atomic:role(counter)
+            if let Some(&counter) = self.counters.get(idx) {
+                min = min.min(counter);
             }
         }
         min
@@ -125,7 +103,7 @@ impl CountingBloom {
 
     /// Total `observe` calls so far.
     pub fn observed(&self) -> u64 {
-        self.observed.load(Ordering::Relaxed) // atomic:role(counter)
+        self.observed
     }
 
     /// The configured counter-array size.
@@ -144,11 +122,10 @@ impl CountingBloom {
 }
 
 /// Knobs for the capacity-bounded cache mode
-/// ([`ShardedCache::bounded`]).
+/// ([`DecisionCache::bounded`]).
 #[derive(Debug, Clone, Copy)]
 pub struct BoundedCacheConfig {
-    /// Maximum live entries across all shards (split evenly per shard,
-    /// at least one per shard).
+    /// Maximum entries in the table (at least one).
     pub capacity: usize,
     /// Counting-Bloom counter slots fronting admission.
     pub bloom_counters: usize,
@@ -171,955 +148,388 @@ impl Default for BoundedCacheConfig {
     }
 }
 
-/// One cached decision, stamped with the cache generation it was made
-/// under (entries from older generations are treated as absent) and an
-/// LRU timestamp touched on every live read.
+/// One cached decision, linked into the table's recency list.
 #[derive(Debug)]
-struct CacheEntry {
-    generation: u64,
+struct Node {
+    shape: GemmShape,
     config_index: usize,
-    last_used: AtomicU64,
+    /// LRU tick of the latest use.
+    last_used: u64,
+    /// The next less recently used node.
+    older: Option<usize>,
+    /// The next more recently used node.
+    newer: Option<usize>,
 }
 
-/// One independent slice of the cache: its map plus the LRU tick
-/// counter its entries are stamped from.
-#[derive(Debug)]
-struct Shard {
-    map: RwLock<HashMap<GemmShape, CacheEntry>>,
-    tick: AtomicU64,
-}
-
-/// A sharded concurrent map from GEMM shape to the chosen global
-/// configuration index.
-///
-/// Two modes:
-///
-/// * **Unbounded** ([`ShardedCache::new`]) — the original serving
-///   cache: every distinct shape is memoised forever. Right when the
-///   workload is a fixed model zoo.
-/// * **Bounded** ([`ShardedCache::bounded`]) — a hard capacity with
-///   per-shard LRU eviction and a [`CountingBloom`] admission filter,
-///   so an unbounded stream of *distinct* shapes (a million-tenant
-///   ingress) cannot grow memory without bound. LRU (rather than
-///   CLOCK) is deliberate: its stack property makes hit rates
-///   monotone in capacity, which `tests/ingress_serving.rs` pins.
-///
-/// Invalidation comes in two flavours: [`ShardedCache::clear`] drops
-/// entries eagerly (one write lock per shard), while
-/// [`ShardedCache::bump_generation`] is an O(1) atomic increment that
-/// makes every existing entry stale at once — the drift path in
-/// [`crate::online`] uses it so a device-profile shift can invalidate
-/// thousands of cached decisions without stalling concurrent readers.
-/// In bounded mode stale entries still occupy their slot (the bound is
-/// a *memory* bound) but are evicted preferentially.
-#[derive(Debug)]
-pub struct ShardedCache {
-    shards: Vec<Shard>,
-    generation: AtomicU64,
-    /// Live-entry capacity per shard; 0 means unbounded.
-    per_shard_capacity: usize,
+/// Everything the cache's lock guards: the entries as nodes of a
+/// doubly linked recency list over a slab, so a hit, an insert and an
+/// eviction each relink O(1) nodes and a hit allocates nothing.
+#[derive(Debug, Default)]
+struct Table {
+    /// Shape → its node's slot in `nodes`.
+    index: HashMap<GemmShape, usize>,
+    /// One node per entry. An evicted node's slot is reused at once by
+    /// the entry that evicted it, so no slot is ever vacant.
+    nodes: Vec<Node>,
+    oldest: Option<usize>,
+    newest: Option<usize>,
+    tick: u64,
+    generation: u64,
     bloom: Option<CountingBloom>,
-    admit_threshold: u8,
-    evictions: AtomicU64,
-    admission_rejects: AtomicU64,
+    evictions: u64,
+    admission_rejects: u64,
 }
 
-impl ShardedCache {
-    /// Create an unbounded cache with `n_shards` independent shards.
-    pub fn new(n_shards: usize) -> Self {
-        let n = n_shards.max(1);
-        ShardedCache {
-            shards: (0..n)
-                .map(|_| Shard {
-                    map: RwLock::new(HashMap::new()),
-                    tick: AtomicU64::new(0),
-                })
-                .collect(),
-            generation: AtomicU64::new(0),
-            per_shard_capacity: 0,
-            bloom: None,
-            admit_threshold: 1,
-            evictions: AtomicU64::new(0),
-            admission_rejects: AtomicU64::new(0),
+impl Table {
+    /// A hit: touch the entry and return its decision.
+    fn get(&mut self, shape: &GemmShape) -> Option<usize> {
+        let slot = *self.index.get(shape)?;
+        self.touch(slot);
+        self.nodes.get(slot).map(|node| node.config_index)
+    }
+
+    /// Stamp the entry in `slot` with a fresh tick and move it to the
+    /// most recent end.
+    fn touch(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.tick += 1;
+        if let Some(node) = self.nodes.get_mut(slot) {
+            node.last_used = self.tick;
+        }
+        self.link_newest(slot);
+    }
+
+    /// Store a new entry in `slot` (a node just evicted) or in a new
+    /// node, and link it in as the most recently used.
+    fn add(&mut self, shape: GemmShape, config_index: usize, last_used: u64, slot: Option<usize>) {
+        let node = Node {
+            shape,
+            config_index,
+            last_used,
+            older: None,
+            newer: None,
+        };
+        let slot = match slot.and_then(|slot| self.nodes.get_mut(slot).map(|free| (slot, free))) {
+            Some((slot, free)) => {
+                *free = node;
+                slot
+            }
+            None => {
+                // lint:allow(no-alloc) a new entry grows the slab once; evictions reuse slots
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        };
+        self.index.insert(shape, slot);
+        self.link_newest(slot);
+    }
+
+    /// Forget the least-recently-used entry, returning its slot.
+    fn evict_lru(&mut self) -> Option<usize> {
+        let slot = self.oldest?;
+        self.unlink(slot);
+        let shape = self.nodes.get(slot)?.shape;
+        self.index.remove(&shape);
+        self.evictions += 1;
+        Some(slot)
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Some(node) = self.nodes.get(slot) else {
+            return;
+        };
+        let (older, newer) = (node.older, node.newer);
+        match older.and_then(|o| self.nodes.get_mut(o)) {
+            Some(node) => node.newer = newer,
+            None => self.oldest = newer,
+        }
+        match newer.and_then(|n| self.nodes.get_mut(n)) {
+            Some(node) => node.older = older,
+            None => self.newest = older,
         }
     }
 
+    fn link_newest(&mut self, slot: usize) {
+        let newest = self.newest;
+        if let Some(node) = self.nodes.get_mut(slot) {
+            node.older = newest;
+            node.newer = None;
+        }
+        match newest.and_then(|n| self.nodes.get_mut(n)) {
+            Some(node) => node.newer = Some(slot),
+            None => self.oldest = Some(slot),
+        }
+        self.newest = Some(slot);
+    }
+
+    fn drop_entries(&mut self) {
+        self.index.clear();
+        self.nodes.clear();
+        self.oldest = None;
+        self.newest = None;
+    }
+}
+
+/// A map from GEMM shape to the chosen global configuration index: one
+/// table behind one mutex.
+///
+/// Two modes:
+///
+/// * **Unbounded** ([`DecisionCache::new`]) — every distinct shape is
+///   memoised forever. Right when the workload is a fixed model zoo.
+/// * **Bounded** ([`DecisionCache::bounded`]) — a hard capacity with
+///   exact least-recently-used eviction over the whole table and a
+///   [`CountingBloom`] admission filter, so an unbounded stream of
+///   *distinct* shapes (a million-tenant ingress) cannot grow memory
+///   without bound. LRU (rather than CLOCK) is deliberate: its stack
+///   property makes hit rates monotone in capacity, which
+///   `tests/ingress_serving.rs` pins.
+///
+/// Invalidation drops entries under the lock:
+/// [`DecisionCache::clear`] empties the table, and
+/// [`DecisionCache::bump_generation`] empties it and advances the
+/// generation, which the drift path in [`crate::online`] uses after a
+/// device-profile shift and which snapshots carry so a restore cannot
+/// undo a drift trip.
+#[derive(Debug, Default)]
+pub struct DecisionCache {
+    table: Mutex<Table>,
+    /// Entry bound; `None` in unbounded mode.
+    capacity: Option<usize>,
+    admit_threshold: u8,
+}
+
+impl DecisionCache {
+    /// Create an unbounded cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Create a capacity-bounded cache: at most `config.capacity`
-    /// entries total (split over `n_shards`), LRU-evicting, fronted by
-    /// a counting-Bloom admission filter.
-    pub fn bounded(n_shards: usize, config: BoundedCacheConfig) -> Self {
-        let mut cache = Self::new(n_shards);
-        let n = cache.shards.len();
-        cache.per_shard_capacity = (config.capacity / n).max(1);
-        cache.bloom = Some(CountingBloom::new(
-            config.bloom_counters,
-            config.bloom_hashes,
-        ));
-        cache.admit_threshold = config.admit_threshold.max(1);
-        cache
+    /// entries, LRU-evicting, fronted by a counting-Bloom admission
+    /// filter.
+    pub fn bounded(config: BoundedCacheConfig) -> Self {
+        let table = Table {
+            bloom: Some(CountingBloom::new(
+                config.bloom_counters,
+                config.bloom_hashes,
+            )),
+            ..Table::default()
+        };
+        DecisionCache {
+            table: Mutex::new(table),
+            capacity: Some(config.capacity.max(1)),
+            admit_threshold: config.admit_threshold.max(1),
+        }
     }
 
-    fn shard_of(&self, shape: &GemmShape) -> &Shard {
-        // stable_hash is FNV-style; fold the high bits in so shard
-        // choice isn't at the mercy of the low bits alone.
-        let h = shape.stable_hash();
-        let idx = ((h ^ (h >> 32)) as usize) % self.shards.len();
-        // lint:allow(no-index) idx is reduced modulo shards.len() above
-        &self.shards[idx]
-    }
-
-    /// Look up a cached decision (read lock on one shard only). Entries
-    /// written before the last [`ShardedCache::bump_generation`] read as
-    /// absent. A live hit refreshes the entry's LRU stamp.
+    /// Look up a cached decision. A hit refreshes the entry's LRU
+    /// stamp.
     pub fn get(&self, shape: &GemmShape) -> Option<usize> {
-        let generation = self.generation.load(Ordering::Acquire); // atomic:role(publish)
-        let shard = self.shard_of(shape);
-        let map = shard.map.read();
-        let entry = map.get(shape).filter(|e| e.generation == generation)?;
-        // atomic:role(tick)
-        entry.last_used.store(
-            shard.tick.fetch_add(1, Ordering::Relaxed) + 1, // atomic:role(tick)
-            Ordering::Relaxed,
-        );
-        Some(entry.config_index)
+        self.table.lock().get(shape)
     }
 
-    /// Store a decision under the current generation. Returns the
-    /// previous live value, if any (stale entries count as absent).
+    /// Store a decision. Returns the previous value, if any.
     ///
     /// In bounded mode a *new* shape must first clear the Bloom
     /// admission threshold (its decision is simply not memoised until
     /// it has recurred enough), and an admitted insert into a full
-    /// shard evicts the least-recently-used entry — stale-generation
-    /// entries first.
+    /// table evicts the least-recently-used entry.
     pub fn insert(&self, shape: GemmShape, config_index: usize) -> Option<usize> {
-        let generation = self.generation.load(Ordering::Acquire); // atomic:role(publish)
-        let shard = self.shard_of(&shape);
-        let mut map = shard.map.write();
-        let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1; // atomic:role(tick)
-        if let Some(entry) = map.get_mut(&shape) {
-            let previous = (entry.generation == generation).then_some(entry.config_index);
-            entry.generation = generation;
-            entry.config_index = config_index;
-            entry.last_used.store(tick, Ordering::Relaxed); // atomic:role(tick)
+        let mut guard = self.table.lock();
+        let table = &mut *guard;
+        if let Some(&slot) = table.index.get(&shape) {
+            let previous = table
+                .nodes
+                .get_mut(slot)
+                .map(|node| std::mem::replace(&mut node.config_index, config_index));
+            table.touch(slot);
             return previous;
         }
-        if let Some(bloom) = &self.bloom {
-            if bloom.observe(&shape) < self.admit_threshold {
-                self.admission_rejects.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-                return None;
-            }
+        let rejected = table
+            .bloom
+            .as_mut()
+            .is_some_and(|bloom| bloom.observe(&shape) < self.admit_threshold);
+        if rejected {
+            table.admission_rejects += 1;
+            return None;
         }
-        if self.per_shard_capacity > 0 && map.len() >= self.per_shard_capacity {
-            self.evict_one(&mut map, generation);
-        }
-        map.insert(
-            shape,
-            CacheEntry {
-                generation,
-                config_index,
-                last_used: AtomicU64::new(tick),
-            },
-        );
+        let full = self.capacity.is_some_and(|cap| table.index.len() >= cap);
+        let slot = if full { table.evict_lru() } else { None };
+        table.tick += 1;
+        table.add(shape, config_index, table.tick, slot);
         None
     }
 
-    /// Remove the best eviction victim from `map`: any stale-generation
-    /// entry if one exists, else the least-recently-used live entry.
-    fn evict_one(&self, map: &mut HashMap<GemmShape, CacheEntry>, generation: u64) {
-        let victim = map
-            .iter()
-            .map(|(shape, entry)| {
-                let stale = entry.generation != generation;
-                // Stale entries sort before every live one.
-                let key = (!stale, entry.last_used.load(Ordering::Relaxed)); // atomic:role(tick)
-                (*shape, key)
-            })
-            .min_by(|a, b| a.1.cmp(&b.1))
-            .map(|(shape, _)| shape);
-        if let Some(shape) = victim {
-            map.remove(&shape);
-            self.evictions.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-        }
-    }
-
-    /// Number of distinct shapes cached across all shards (current
-    /// generation only).
+    /// Number of distinct shapes cached.
     pub fn len(&self) -> usize {
-        let generation = self.generation.load(Ordering::Acquire); // atomic:role(publish)
-        self.shards
-            .iter()
-            .map(|s| {
-                s.map
-                    .read()
-                    .values()
-                    .filter(|e| e.generation == generation)
-                    .count()
-            })
-            .sum()
+        self.table.lock().index.len()
     }
 
-    /// Total entries held, live *and* stale — the number the capacity
-    /// bound actually constrains.
+    /// Entries held — the number the capacity bound constrains. Equal
+    /// to [`DecisionCache::len`]: invalidation drops entries rather
+    /// than leaving stale ones in place.
     pub fn footprint(&self) -> usize {
-        self.shards.iter().map(|s| s.map.read().len()).sum()
+        self.len()
     }
 
-    /// Whether no live decision is cached.
+    /// Whether no decision is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drop every cached decision (e.g. after retraining the selector).
+    /// Drop every cached decision (e.g. after retraining the selector),
+    /// keeping the generation.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.map.write().clear();
-        }
+        self.table.lock().drop_entries();
     }
 
-    /// Invalidate every cached decision in O(1) by advancing the cache
-    /// generation. Stale entries are filtered on read and overwritten on
-    /// the next insert for their shape; no lock is taken.
+    /// Drop every cached decision and advance the cache generation —
+    /// the drift-invalidation path. Returns the new generation.
     pub fn bump_generation(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::AcqRel) + 1 // atomic:role(publish)
+        let mut table = self.table.lock();
+        table.drop_entries();
+        table.generation += 1;
+        table.generation
     }
 
     /// The current cache generation (starts at 0, advanced by
-    /// [`ShardedCache::bump_generation`]).
+    /// [`DecisionCache::bump_generation`]).
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire) // atomic:role(publish)
-    }
-
-    /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.table.lock().generation
     }
 
     /// The total entry capacity, or `None` in unbounded mode.
     pub fn capacity(&self) -> Option<usize> {
-        (self.per_shard_capacity > 0).then(|| self.per_shard_capacity * self.shards.len())
+        self.capacity
     }
 
     /// Entries evicted to make room (0 in unbounded mode).
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed) // atomic:role(counter)
+        self.table.lock().evictions
     }
 
     /// Inserts the Bloom admission filter rejected (the shape had not
     /// yet recurred `admit_threshold` times).
     pub fn admission_rejects(&self) -> u64 {
-        self.admission_rejects.load(Ordering::Relaxed) // atomic:role(counter)
+        self.table.lock().admission_rejects
     }
 
-    /// The Bloom admission filter, when in bounded mode.
-    pub fn bloom(&self) -> Option<&CountingBloom> {
-        self.bloom.as_ref()
-    }
-
-    /// Export the warm set — current-generation entries with their LRU
-    /// stamps, per-shard ticks, and the Bloom admission counters — for
-    /// `core::persist` snapshots. Entries are sorted by stable shape
-    /// hash so the encoding (and hence the section CRC) is
-    /// deterministic for a given cache state.
-    pub fn export_state(&self) -> crate::persist::CacheState {
-        let generation = self.generation.load(Ordering::Acquire); // atomic:role(publish)
-        let shards = self
-            .shards
+    /// Export the warm set — entries with their LRU stamps, the tick,
+    /// and the Bloom admission counters — for `core::persist`
+    /// snapshots, as one shard. Entries are sorted by stable shape hash
+    /// so the encoding (and hence the section CRC) is deterministic for
+    /// a given cache state.
+    pub fn export_state(&self) -> CacheState {
+        let table = self.table.lock();
+        let mut entries: Vec<CacheEntryState> = table
+            .nodes
             .iter()
-            .map(|shard| {
-                let map = shard.map.read();
-                let mut entries: Vec<crate::persist::CacheEntryState> = map
-                    .iter()
-                    .filter(|(_, e)| e.generation == generation)
-                    .map(|(shape, e)| crate::persist::CacheEntryState {
-                        shape: *shape,
-                        config_index: e.config_index,
-                        last_used: e.last_used.load(Ordering::Relaxed), // atomic:role(tick)
-                    })
-                    .collect();
-                entries.sort_by_key(|e| e.shape.stable_hash());
-                crate::persist::CacheShardState {
-                    tick: shard.tick.load(Ordering::Relaxed), // atomic:role(tick)
-                    entries,
-                }
+            .map(|node| CacheEntryState {
+                shape: node.shape,
+                config_index: node.config_index,
+                last_used: node.last_used,
             })
             .collect();
-        let bloom = self.bloom.as_ref().map(|b| crate::persist::BloomState {
+        entries.sort_by_key(|e| e.shape.stable_hash());
+        let bloom = table.bloom.as_ref().map(|b| BloomState {
             hashes: b.hashes,
-            observed: b.observed(),
-            counters: b
-                .counters
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed) as u64) // atomic:role(counter)
-                .collect(),
+            observed: b.observed,
+            counters: b.counters.iter().map(|&c| u64::from(c)).collect(),
         });
-        crate::persist::CacheState {
-            generation,
-            shards,
+        CacheState {
+            generation: table.generation,
+            shards: vec![CacheShardState {
+                tick: table.tick,
+                entries,
+            }],
             bloom,
         }
     }
 
     /// Re-warm the cache from an exported state. The snapshot
     /// generation must not be behind the live one (a drift trip after
-    /// capture must not be undone); entries whose configuration is no
-    /// longer in `shipped` are skipped, as are entries that would
-    /// overflow a bounded shard (restore never evicts live entries).
-    /// Entries re-route through the *current* shard function, so a
-    /// snapshot taken under a different shard count still restores.
+    /// capture must not be undone); a newer one first drops the live
+    /// entries, as a bump would. The entries of every saved shard merge
+    /// into the one table, so a snapshot written by a sharded cache
+    /// restores whole. Entries whose configuration is no longer in
+    /// `shipped` are skipped, as are entries that would overflow a
+    /// bounded table (restore never evicts; the most recently used
+    /// entries are admitted first). The recency list is relinked in
+    /// ascending `last_used` order, so the saved LRU order survives.
     /// Bloom counters apply only when the live filter has the same
     /// geometry; otherwise they are left cold and
-    /// [`crate::persist::CacheRestoreStats::bloom_restored`] is false.
+    /// [`CacheRestoreStats::bloom_restored`] is false.
     // lint:allow-fn(no-alloc) snapshot restore is a cold startup path
     pub fn restore_state(
         &self,
-        state: &crate::persist::CacheState,
+        state: &CacheState,
         shipped: &[usize],
-    ) -> std::result::Result<crate::persist::CacheRestoreStats, String> {
-        let live = self.generation.load(Ordering::Acquire); // atomic:role(publish)
-        if state.generation < live {
+    ) -> std::result::Result<CacheRestoreStats, String> {
+        let mut guard = self.table.lock();
+        let table = &mut *guard;
+        if state.generation < table.generation {
             return Err(format!(
                 "cache generation regression: snapshot {} < live {}",
-                state.generation, live
+                state.generation, table.generation
             ));
         }
-        self.generation.store(state.generation, Ordering::Release); // atomic:role(publish)
-        let max_tick = state.shards.iter().map(|s| s.tick).max().unwrap_or(0);
-        for shard in &self.shards {
-            let current = shard.tick.load(Ordering::Relaxed); // atomic:role(tick)
-            shard.tick.store(current.max(max_tick), Ordering::Relaxed); // atomic:role(tick)
+        if state.generation > table.generation {
+            table.drop_entries();
+            table.generation = state.generation;
         }
+        // The live entries, then the saved ones, most recent first, while
+        // they fit.
+        let mut merged: HashMap<GemmShape, (usize, u64)> = table
+            .nodes
+            .iter()
+            .map(|node| (node.shape, (node.config_index, node.last_used)))
+            .collect();
+        let mut saved: Vec<&CacheEntryState> =
+            state.shards.iter().flat_map(|s| &s.entries).collect();
+        saved.sort_by_key(|e| std::cmp::Reverse(e.last_used));
         let mut restored = 0u64;
         let mut skipped = 0u64;
-        for saved_shard in &state.shards {
-            for entry in &saved_shard.entries {
-                if !shipped.contains(&entry.config_index) {
-                    skipped += 1;
-                    continue;
-                }
-                let shard = self.shard_of(&entry.shape);
-                let mut map = shard.map.write();
-                if self.per_shard_capacity > 0
-                    && map.len() >= self.per_shard_capacity
-                    && !map.contains_key(&entry.shape)
-                {
-                    skipped += 1;
-                    continue;
-                }
-                map.insert(
-                    entry.shape,
-                    CacheEntry {
-                        generation: state.generation,
-                        config_index: entry.config_index,
-                        last_used: AtomicU64::new(entry.last_used),
-                    },
-                );
-                restored += 1;
+        for entry in saved {
+            let full = self.capacity.is_some_and(|cap| merged.len() >= cap);
+            if !shipped.contains(&entry.config_index)
+                || (full && !merged.contains_key(&entry.shape))
+            {
+                skipped += 1;
+                continue;
             }
+            merged.insert(entry.shape, (entry.config_index, entry.last_used));
+            restored += 1;
         }
-        let bloom_restored = match (&self.bloom, &state.bloom) {
+        // Relink from the least recently used up.
+        let mut order: Vec<(GemmShape, (usize, u64))> = merged.into_iter().collect();
+        order.sort_by_key(|&(shape, (_, last_used))| (last_used, shape.stable_hash()));
+        table.drop_entries();
+        for (shape, (config_index, last_used)) in order {
+            table.tick = table.tick.max(last_used);
+            table.add(shape, config_index, last_used, None);
+        }
+        let saved_tick = state.shards.iter().map(|s| s.tick).max().unwrap_or(0);
+        table.tick = table.tick.max(saved_tick);
+        let bloom_restored = match (&mut table.bloom, &state.bloom) {
             (Some(live), Some(saved))
                 if live.counters.len() == saved.counters.len() && live.hashes == saved.hashes =>
             {
-                for (counter, &value) in live.counters.iter().zip(&saved.counters) {
-                    // atomic:role(counter)
-                    counter.store(value.min(u8::MAX as u64) as u8, Ordering::Relaxed);
+                for (counter, &value) in live.counters.iter_mut().zip(&saved.counters) {
+                    *counter = value.min(u64::from(u8::MAX)) as u8;
                 }
-                live.observed.store(saved.observed, Ordering::Relaxed); // atomic:role(counter)
+                live.observed = saved.observed;
                 true
             }
             (None, None) => true,
             _ => false,
         };
-        Ok(crate::persist::CacheRestoreStats {
+        Ok(CacheRestoreStats {
             entries_restored: restored,
             entries_skipped: skipped,
             bloom_restored,
         })
     }
-}
-
-/// Number of log2 latency buckets: bucket `i` counts samples in
-/// `[2^i, 2^(i+1))` nanoseconds, so 64 buckets span every expressible
-/// `u64` latency.
-pub const LATENCY_BUCKETS: usize = 64;
-
-/// A fixed-bucket log2 latency histogram over lock-free atomics.
-///
-/// The record path is two atomic increments and zero allocation —
-/// cheap enough for every request on the ingress hot path (and
-/// `hotpath_lint`-clean). The bucket increment is relaxed; the `count`
-/// increment *releases* it, and quantile reads load `count` with
-/// acquire, so a reader can never observe more counted samples than
-/// bucketed ones (the `analyze::interleave` latency-histogram model
-/// checks exactly this invariant — with both increments relaxed, a
-/// reader could fall off the cumulative walk and return the `f64::MAX`
-/// sentinel). Quantiles walk the 64 bucket counters and interpolate
-/// linearly inside the winning bucket, which bounds the error by the
-/// bucket's width (a factor of two — plenty for p50/p99 SLO
-/// telemetry).
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: (0..LATENCY_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// The bucket a sample of `nanos` lands in (0 is clamped to 1):
-    /// bucket `i` spans `[2^i, 2^(i+1))` ns.
-    pub fn bucket_of(nanos: u64) -> usize {
-        63 - nanos.max(1).leading_zeros() as usize
-    }
-
-    /// Record one sample of `nanos` (0 is clamped to 1). Lock-free,
-    /// allocation-free. The release on `count` publishes the bucket
-    /// increment to acquire readers.
-    pub fn record(&self, nanos: u64) {
-        self.record_n(nanos, 1);
-    }
-
-    /// Record `n` samples of `nanos` with two atomic updates: the bucket
-    /// counts and total come out as after `n` calls of
-    /// [`LatencyHistogram::record`]. The bucket is bumped first and the
-    /// release on `count` publishes it, as in `record`.
-    pub fn record_n(&self, nanos: u64, n: u64) {
-        if let Some(bucket) = self.buckets.get(Self::bucket_of(nanos)) {
-            bucket.fetch_add(n, Ordering::Relaxed); // atomic:role(counter)
-            self.count.fetch_add(n, Ordering::Release); // atomic:role(publish)
-        }
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Acquire) // atomic:role(publish)
-    }
-
-    /// The `q`-quantile latency in nanoseconds (`q` in `[0, 1]`),
-    /// linearly interpolated within the winning bucket; 0 with no
-    /// samples.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).max(1.0);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            let n = bucket.load(Ordering::Relaxed); // atomic:role(counter)
-            if n == 0 {
-                continue;
-            }
-            let before = cumulative;
-            cumulative += n;
-            if (cumulative as f64) >= target {
-                let lower = (1u64 << i) as f64;
-                let width = lower; // bucket spans [2^i, 2^(i+1))
-                let frac = (target - before as f64) / n as f64;
-                return lower + frac.clamp(0.0, 1.0) * width;
-            }
-        }
-        // Unreachable with a consistent count; report the top edge.
-        f64::MAX
-    }
-
-    /// Median latency in nanoseconds.
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th-percentile latency in nanoseconds.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-
-    /// The raw bucket counts (`LATENCY_BUCKETS` entries; bucket `i`
-    /// spans `[2^i, 2^(i+1))` ns).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed)) // atomic:role(counter)
-            .collect()
-    }
-
-    /// Overwrite the histogram from saved bucket counts (the snapshot
-    /// restore path). Returns false — leaving the histogram untouched —
-    /// unless `counts` has exactly [`LATENCY_BUCKETS`] entries. The
-    /// total is recomputed from the buckets (saturating), keeping
-    /// quantile reads internally consistent whatever the counts were.
-    pub fn restore_counts(&self, counts: &[u64]) -> bool {
-        if counts.len() != self.buckets.len() {
-            return false;
-        }
-        let mut total = 0u64;
-        for (bucket, &n) in self.buckets.iter().zip(counts) {
-            bucket.store(n, Ordering::Relaxed); // atomic:role(counter)
-            total = total.saturating_add(n);
-        }
-        self.count.store(total, Ordering::Release); // atomic:role(publish)
-        true
-    }
-}
-
-/// Lock-free counters describing the serving layer's behaviour.
-///
-/// All counters are monotonic and updated with relaxed atomics: the
-/// numbers are diagnostics, not synchronisation points. `hits + misses`
-/// always equals the total number of `select` calls that completed.
-#[derive(Debug)]
-pub struct SelectionTelemetry {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    hit_nanos: AtomicU64,
-    miss_nanos: AtomicU64,
-    /// One slot per shipped configuration, in `Selector::configs()`
-    /// order, counting how often each was picked.
-    picks: Vec<AtomicU64>,
-    /// Global config index per slot (frozen copy of the shipped set).
-    shipped: Vec<usize>,
-    // --- resilient-serving counters (all zero outside a
-    // `resilient::ResilientExecutor`) ---
-    resilient_launches: AtomicU64,
-    launch_failures: AtomicU64,
-    retries: AtomicU64,
-    breaker_trips: AtomicU64,
-    quarantine_skips: AtomicU64,
-    fallback_next_best: AtomicU64,
-    fallback_reference: AtomicU64,
-    fallback_skipped_invalid: AtomicU64,
-    // --- online-adaptation counters (all zero without an
-    // `online::OnlineSelector`) ---
-    reward_updates: AtomicU64,
-    drift_events: AtomicU64,
-    adaptive_picks: AtomicU64,
-    /// Rewards discarded because they were measured under an older
-    /// selector generation than the one live when they arrived (the
-    /// stale-reward-poisoning guard in `core::online`).
-    stale_rewards_dropped: AtomicU64,
-    /// Wall-clock decision latency (cache hit or model run), log2
-    /// buckets.
-    decision_latency: LatencyHistogram,
-}
-
-impl SelectionTelemetry {
-    // lint:allow-fn(no-alloc) constructed once per selector, not per decision
-    fn new(shipped: &[usize]) -> Self {
-        SelectionTelemetry {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            hit_nanos: AtomicU64::new(0),
-            miss_nanos: AtomicU64::new(0),
-            picks: shipped.iter().map(|_| AtomicU64::new(0)).collect(),
-            shipped: shipped.to_vec(),
-            resilient_launches: AtomicU64::new(0),
-            launch_failures: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            quarantine_skips: AtomicU64::new(0),
-            fallback_next_best: AtomicU64::new(0),
-            fallback_reference: AtomicU64::new(0),
-            fallback_skipped_invalid: AtomicU64::new(0),
-            reward_updates: AtomicU64::new(0),
-            drift_events: AtomicU64::new(0),
-            adaptive_picks: AtomicU64::new(0),
-            stale_rewards_dropped: AtomicU64::new(0),
-            decision_latency: LatencyHistogram::new(),
-        }
-    }
-
-    pub(crate) fn record_stale_reward_dropped(&self) {
-        self.stale_rewards_dropped.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_reward_update(&self) {
-        self.reward_updates.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_drift_event(&self) {
-        self.drift_events.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_adaptive_pick(&self) {
-        self.adaptive_picks.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_resilient_launch(&self) {
-        self.resilient_launches.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_launch_failure(&self) {
-        self.launch_failures.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_quarantine_skip(&self) {
-        self.quarantine_skips.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_fallback_next_best(&self) {
-        self.fallback_next_best.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_fallback_reference(&self) {
-        self.fallback_reference.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_fallback_skipped_invalid(&self) {
-        self.fallback_skipped_invalid
-            .fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    fn record(&self, hit: bool, nanos: u64, config_index: usize) {
-        self.decision_latency.record(nanos);
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-            self.hit_nanos.fetch_add(nanos, Ordering::Relaxed); // atomic:role(counter)
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-            self.miss_nanos.fetch_add(nanos, Ordering::Relaxed); // atomic:role(counter)
-        }
-        if let Some(slot) = self.shipped.iter().position(|&c| c == config_index) {
-            // lint:allow(no-index) slot comes from position() over picks' twin
-            self.picks[slot].fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-        }
-    }
-
-    /// Count a reused decision as one hit and one pick, without a
-    /// latency sample (the decision was made, and timed, once for the
-    /// whole batch). `slot` is the decision's shipped-set position from
-    /// [`SelectionTelemetry::shipped_slot`]; `None` bumps no pick
-    /// counter, exactly like a non-shipped pick in
-    /// [`SelectionTelemetry::record`].
-    #[inline]
-    pub(crate) fn record_reused_hit(&self, slot: Option<usize>) {
-        self.hits.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-        if let Some(pick) = slot.and_then(|slot| self.picks.get(slot)) {
-            pick.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-        }
-    }
-
-    /// The shipped-set slot of `config_index`, if it is shipped.
-    pub(crate) fn shipped_slot(&self, config_index: usize) -> Option<usize> {
-        self.shipped.iter().position(|&c| c == config_index)
-    }
-
-    /// Selections answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Selections that ran the model.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Total completed selections (`hits + misses`).
-    pub fn total(&self) -> u64 {
-        self.hits() + self.misses()
-    }
-
-    /// Cache hit rate in `[0, 1]` (0 when nothing was selected yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / total as f64
-        }
-    }
-
-    /// Mean latency of cache hits, in nanoseconds.
-    pub fn mean_hit_nanos(&self) -> f64 {
-        let hits = self.hits();
-        if hits == 0 {
-            0.0
-        } else {
-            self.hit_nanos.load(Ordering::Relaxed) as f64 / hits as f64 // atomic:role(counter)
-        }
-    }
-
-    /// Mean latency of cache misses (model inference), in nanoseconds.
-    pub fn mean_miss_nanos(&self) -> f64 {
-        let misses = self.misses();
-        if misses == 0 {
-            0.0
-        } else {
-            self.miss_nanos.load(Ordering::Relaxed) as f64 / misses as f64 // atomic:role(counter)
-        }
-    }
-
-    /// Launches completed through the resilient executor.
-    pub fn resilient_launches(&self) -> u64 {
-        self.resilient_launches.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Individual failed launch attempts the executor absorbed.
-    pub fn launch_failures(&self) -> u64 {
-        self.launch_failures.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Retries of the *same* configuration after a transient fault.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Circuit-breaker transitions into the open state.
-    pub fn breaker_trips(&self) -> u64 {
-        self.breaker_trips.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Candidate configurations skipped because their breaker was open.
-    pub fn quarantine_skips(&self) -> u64 {
-        self.quarantine_skips.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Launches served by a next-best shipped configuration.
-    pub fn fallback_next_best(&self) -> u64 {
-        self.fallback_next_best.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Launches degraded all the way to the reference GEMM.
-    pub fn fallback_reference(&self) -> u64 {
-        self.fallback_reference.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Configurations excluded from the fallback chain (or skipped as a
-    /// primary pick) because static analysis proved them invalid or
-    /// dominated on the serving device.
-    pub fn fallback_skipped_invalid(&self) -> u64 {
-        self.fallback_skipped_invalid.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Measured launch outcomes fed back into the online bandit.
-    pub fn reward_updates(&self) -> u64 {
-        self.reward_updates.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Drift-detector trips (each re-ranks the bandit and bumps the
-    /// decision-cache generation).
-    pub fn drift_events(&self) -> u64 {
-        self.drift_events.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Primary picks made by the adaptive (post-drift) stage rather
-    /// than the offline classifier. These bypass the shape cache, so
-    /// they are *not* part of `hits + misses`.
-    pub fn adaptive_picks(&self) -> u64 {
-        self.adaptive_picks.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Rewards discarded for carrying a stale selector generation.
-    pub fn stale_rewards_dropped(&self) -> u64 {
-        self.stale_rewards_dropped.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// The decision-latency histogram (cache hits and model runs).
-    pub fn decision_latency(&self) -> &LatencyHistogram {
-        &self.decision_latency
-    }
-
-    /// `(global config index, times picked)` per shipped configuration,
-    /// in shipped order.
-    pub fn picks(&self) -> Vec<(usize, u64)> {
-        self.shipped
-            .iter()
-            .zip(&self.picks)
-            .map(|(&c, n)| (c, n.load(Ordering::Relaxed))) // atomic:role(counter)
-            .collect()
-    }
-
-    /// An owned, consistent-enough copy for reporting/serialisation.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            hits: self.hits(),
-            misses: self.misses(),
-            mean_hit_nanos: self.mean_hit_nanos(),
-            mean_miss_nanos: self.mean_miss_nanos(),
-            picks: self
-                .picks()
-                .into_iter()
-                .map(|(config_index, count)| PickCount {
-                    config_index,
-                    count,
-                })
-                .collect(),
-            resilient_launches: self.resilient_launches(),
-            launch_failures: self.launch_failures(),
-            retries: self.retries(),
-            breaker_trips: self.breaker_trips(),
-            quarantine_skips: self.quarantine_skips(),
-            fallback_next_best: self.fallback_next_best(),
-            fallback_reference: self.fallback_reference(),
-            fallback_skipped_invalid: self.fallback_skipped_invalid(),
-            reward_updates: self.reward_updates(),
-            drift_events: self.drift_events(),
-            adaptive_picks: self.adaptive_picks(),
-            stale_rewards_dropped: self.stale_rewards_dropped(),
-            decision_p50_ns: self.decision_latency.p50(),
-            decision_p99_ns: self.decision_latency.p99(),
-        }
-    }
-
-    /// Export every counter and the latency histogram for
-    /// `core::persist` snapshots.
-    // lint:allow-fn(no-alloc) snapshot export runs off the decide path
-    pub fn export_state(&self) -> crate::persist::TelemetryState {
-        crate::persist::TelemetryState {
-            hits: self.hits(),
-            misses: self.misses(),
-            hit_nanos: self.hit_nanos.load(Ordering::Relaxed), // atomic:role(counter)
-            miss_nanos: self.miss_nanos.load(Ordering::Relaxed), // atomic:role(counter)
-            shipped: self.shipped.clone(),
-            picks: self
-                .picks
-                .iter()
-                .map(|p| p.load(Ordering::Relaxed)) // atomic:role(counter)
-                .collect(),
-            resilient_launches: self.resilient_launches(),
-            launch_failures: self.launch_failures(),
-            retries: self.retries(),
-            breaker_trips: self.breaker_trips(),
-            quarantine_skips: self.quarantine_skips(),
-            fallback_next_best: self.fallback_next_best(),
-            fallback_reference: self.fallback_reference(),
-            fallback_skipped_invalid: self.fallback_skipped_invalid(),
-            reward_updates: self.reward_updates(),
-            drift_events: self.drift_events(),
-            adaptive_picks: self.adaptive_picks(),
-            stale_rewards_dropped: self.stale_rewards_dropped(),
-            latency_buckets: self.decision_latency.bucket_counts(),
-        }
-    }
-
-    /// Overwrite every counter from an exported state, so restart-
-    /// spanning reports stay cumulative. The snapshot's shipped set and
-    /// histogram geometry must match the live block exactly.
-    // lint:allow-fn(no-alloc) snapshot restore is a cold startup path
-    pub fn restore_state(
-        &self,
-        state: &crate::persist::TelemetryState,
-    ) -> std::result::Result<(), String> {
-        if state.shipped != self.shipped || state.picks.len() != self.picks.len() {
-            return Err(format!(
-                "telemetry shipped-set mismatch: snapshot has {} slots, live block {}",
-                state.picks.len(),
-                self.picks.len()
-            ));
-        }
-        if !self.decision_latency.restore_counts(&state.latency_buckets) {
-            return Err(format!(
-                "latency histogram geometry mismatch: snapshot has {} buckets, live {}",
-                state.latency_buckets.len(),
-                LATENCY_BUCKETS
-            ));
-        }
-        self.hits.store(state.hits, Ordering::Relaxed); // atomic:role(counter)
-        self.misses.store(state.misses, Ordering::Relaxed); // atomic:role(counter)
-        self.hit_nanos.store(state.hit_nanos, Ordering::Relaxed); // atomic:role(counter)
-        self.miss_nanos.store(state.miss_nanos, Ordering::Relaxed); // atomic:role(counter)
-        for (pick, &n) in self.picks.iter().zip(&state.picks) {
-            pick.store(n, Ordering::Relaxed); // atomic:role(counter)
-        }
-        self.resilient_launches
-            .store(state.resilient_launches, Ordering::Relaxed); // atomic:role(counter)
-        self.launch_failures
-            .store(state.launch_failures, Ordering::Relaxed); // atomic:role(counter)
-        self.retries.store(state.retries, Ordering::Relaxed); // atomic:role(counter)
-        self.breaker_trips
-            .store(state.breaker_trips, Ordering::Relaxed); // atomic:role(counter)
-        self.quarantine_skips
-            .store(state.quarantine_skips, Ordering::Relaxed); // atomic:role(counter)
-        self.fallback_next_best
-            .store(state.fallback_next_best, Ordering::Relaxed); // atomic:role(counter)
-        self.fallback_reference
-            .store(state.fallback_reference, Ordering::Relaxed); // atomic:role(counter)
-        self.fallback_skipped_invalid
-            .store(state.fallback_skipped_invalid, Ordering::Relaxed); // atomic:role(counter)
-        self.reward_updates
-            .store(state.reward_updates, Ordering::Relaxed); // atomic:role(counter)
-        self.drift_events
-            .store(state.drift_events, Ordering::Relaxed); // atomic:role(counter)
-        self.adaptive_picks
-            .store(state.adaptive_picks, Ordering::Relaxed); // atomic:role(counter)
-        self.stale_rewards_dropped
-            .store(state.stale_rewards_dropped, Ordering::Relaxed); // atomic:role(counter)
-        Ok(())
-    }
-}
-
-/// How often one shipped configuration was chosen.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct PickCount {
-    /// Global kernel configuration index.
-    pub config_index: usize,
-    /// Number of selections that chose it.
-    pub count: u64,
-}
-
-/// A point-in-time copy of [`SelectionTelemetry`], serialisable for
-/// reports.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct TelemetrySnapshot {
-    /// Selections answered from the cache.
-    pub hits: u64,
-    /// Selections that ran the model.
-    pub misses: u64,
-    /// Mean cache-hit latency in nanoseconds.
-    pub mean_hit_nanos: f64,
-    /// Mean model-inference latency in nanoseconds.
-    pub mean_miss_nanos: f64,
-    /// Pick counts per shipped configuration.
-    pub picks: Vec<PickCount>,
-    /// Launches completed through the resilient executor.
-    pub resilient_launches: u64,
-    /// Individual failed launch attempts absorbed.
-    pub launch_failures: u64,
-    /// Same-configuration retries after transient faults.
-    pub retries: u64,
-    /// Circuit-breaker transitions into the open state.
-    pub breaker_trips: u64,
-    /// Candidates skipped while their breaker was open.
-    pub quarantine_skips: u64,
-    /// Launches served by a next-best shipped configuration.
-    pub fallback_next_best: u64,
-    /// Launches degraded to the reference GEMM.
-    pub fallback_reference: u64,
-    /// Configurations skipped because static analysis proved them
-    /// invalid or dominated.
-    pub fallback_skipped_invalid: u64,
-    /// Measured launch outcomes fed back into the online bandit.
-    pub reward_updates: u64,
-    /// Drift-detector trips.
-    pub drift_events: u64,
-    /// Primary picks made by the adaptive (post-drift) stage.
-    pub adaptive_picks: u64,
-    /// Rewards discarded for carrying a stale selector generation.
-    pub stale_rewards_dropped: u64,
-    /// Median decision latency in nanoseconds (histogram estimate).
-    pub decision_p50_ns: f64,
-    /// 99th-percentile decision latency in nanoseconds (histogram
-    /// estimate).
-    pub decision_p99_ns: f64,
 }
 
 /// The outcome of one cached selection, for threading into launch
@@ -1138,42 +548,32 @@ impl From<SelectionOutcome> for autokernel_sycl_sim::trace::LaunchDecision {
     }
 }
 
-/// A [`Selector`] wrapped with the sharded decision cache and
-/// telemetry. Cheap to share across threads (`&self` everywhere).
+/// A [`Selector`] wrapped with the decision cache and telemetry. Cheap
+/// to share across threads (`&self` everywhere).
 pub struct CachedSelector {
     selector: Arc<Selector>,
-    cache: ShardedCache,
+    cache: DecisionCache,
     telemetry: SelectionTelemetry,
 }
 
 impl CachedSelector {
-    /// Wrap `selector` with a [`DEFAULT_SHARDS`]-way cache.
+    /// Wrap `selector` with an unbounded cache.
     pub fn new(selector: Arc<Selector>) -> Self {
-        Self::with_shards(selector, DEFAULT_SHARDS)
-    }
-
-    /// Wrap `selector` with an explicit shard count.
-    pub fn with_shards(selector: Arc<Selector>, n_shards: usize) -> Self {
-        let telemetry = SelectionTelemetry::new(selector.configs());
-        CachedSelector {
-            selector,
-            cache: ShardedCache::new(n_shards),
-            telemetry,
-        }
+        Self::with_cache(selector, DecisionCache::new())
     }
 
     /// Wrap `selector` with a capacity-bounded, Bloom-admitted cache
-    /// ([`ShardedCache::bounded`]) — the ingress-facing mode where the
+    /// ([`DecisionCache::bounded`]) — the ingress-facing mode where the
     /// shape stream is unbounded and the decision cache must not be.
-    pub fn with_bounded_cache(
-        selector: Arc<Selector>,
-        n_shards: usize,
-        config: BoundedCacheConfig,
-    ) -> Self {
+    pub fn with_bounded_cache(selector: Arc<Selector>, config: BoundedCacheConfig) -> Self {
+        Self::with_cache(selector, DecisionCache::bounded(config))
+    }
+
+    fn with_cache(selector: Arc<Selector>, cache: DecisionCache) -> Self {
         let telemetry = SelectionTelemetry::new(selector.configs());
         CachedSelector {
             selector,
-            cache: ShardedCache::bounded(n_shards, config),
+            cache,
             telemetry,
         }
     }
@@ -1242,8 +642,9 @@ impl CachedSelector {
         self.cache.len()
     }
 
-    /// The underlying cache (for shard-level inspection).
-    pub fn cache(&self) -> &ShardedCache {
+    /// The underlying cache (for capacity, eviction and footprint
+    /// inspection).
+    pub fn cache(&self) -> &DecisionCache {
         &self.cache
     }
 
@@ -1252,7 +653,7 @@ impl CachedSelector {
         self.cache.clear();
     }
 
-    /// Forget every cached decision in O(1) via a generation bump —
+    /// Forget every cached decision and advance the cache generation —
     /// the drift-invalidation path. Returns the new generation.
     pub fn invalidate_generation(&self) -> u64 {
         self.cache.bump_generation()
@@ -1313,7 +714,6 @@ pub(crate) mod tests {
         let bounded = || {
             CachedSelector::with_bounded_cache(
                 Arc::clone(&sel),
-                2,
                 BoundedCacheConfig {
                     capacity: 8,
                     admit_threshold: 2,
@@ -1401,7 +801,7 @@ pub(crate) mod tests {
     #[test]
     fn batch_matches_singles_and_warms_cache() {
         let sel = trained();
-        let cached = CachedSelector::with_shards(Arc::clone(&sel), 4);
+        let cached = CachedSelector::new(Arc::clone(&sel));
         let shapes: Vec<GemmShape> = (1..=12).map(|i| GemmShape::new(i * 17, 256, 96)).collect();
         let batch = cached.select_batch(&shapes).unwrap();
         for (shape, &idx) in shapes.iter().zip(&batch) {
@@ -1415,9 +815,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sharded_cache_basics() {
-        let cache = ShardedCache::new(8);
-        assert_eq!(cache.shard_count(), 8);
+    fn decision_cache_basics() {
+        let cache = DecisionCache::new();
         assert!(cache.is_empty());
         let s = GemmShape::new(10, 20, 30);
         assert_eq!(cache.get(&s), None);
@@ -1430,14 +829,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn zero_shards_clamps_to_one() {
-        let cache = ShardedCache::new(0);
-        assert_eq!(cache.shard_count(), 1);
-    }
-
-    #[test]
-    fn generation_bump_invalidates_without_locks() {
-        let cache = ShardedCache::new(4);
+    fn generation_bump_drops_every_entry() {
+        let cache = DecisionCache::new();
         let a = GemmShape::new(10, 20, 30);
         let b = GemmShape::new(40, 50, 60);
         cache.insert(a, 1);
@@ -1446,15 +839,77 @@ pub(crate) mod tests {
         assert_eq!(cache.generation(), 0);
 
         assert_eq!(cache.bump_generation(), 1);
-        assert_eq!(cache.get(&a), None, "stale entry reads as absent");
+        assert_eq!(cache.get(&a), None, "invalidated entry reads as absent");
         assert_eq!(cache.get(&b), None);
         assert!(cache.is_empty());
+        assert_eq!(cache.footprint(), 0, "the bump frees the entries");
 
-        // Re-inserting under the new generation revives the slot; the
-        // stale previous value does not leak out as "previous".
+        // Re-inserting under the new generation starts afresh; the
+        // dropped value does not leak out as "previous".
         assert_eq!(cache.insert(a, 7), None);
         assert_eq!(cache.get(&a), Some(7));
         assert_eq!(cache.len(), 1);
+        cache.clear();
+        assert_eq!(cache.generation(), 1, "clear keeps the generation");
+    }
+
+    /// A snapshot written by a sharded cache, whose per-shard ticks
+    /// repeat across shards, restores whole into the one table: every
+    /// entry comes back, the saved LRU order survives (the next
+    /// admitted insert evicts the entry with the oldest saved tick), and
+    /// so do the Bloom counters.
+    #[test]
+    fn sharded_snapshot_restores_whole_with_its_lru_order() {
+        let config = BoundedCacheConfig {
+            capacity: 6,
+            bloom_counters: 64,
+            bloom_hashes: 2,
+            admit_threshold: 1,
+        };
+        let shape = |i: usize| GemmShape::new(16 * i, 32, 48);
+        let donor = DecisionCache::bounded(config);
+        for i in 1..=3 {
+            donor.insert(shape(i), i);
+        }
+        let bloom = donor.export_state().bloom;
+        let shard = |tick: u64, entries: &[(usize, u64)]| CacheShardState {
+            tick,
+            entries: entries
+                .iter()
+                .map(|&(i, last_used)| CacheEntryState {
+                    shape: shape(i),
+                    config_index: i,
+                    last_used,
+                })
+                .collect(),
+        };
+        let state = CacheState {
+            generation: 0,
+            shards: vec![
+                shard(9, &[(1, 5), (2, 9)]),
+                shard(5, &[(3, 5), (4, 2)]),
+                shard(9, &[(5, 9), (6, 7)]),
+            ],
+            bloom: bloom.clone(),
+        };
+        let cache = DecisionCache::bounded(config);
+        let stats = cache
+            .restore_state(&state, &[1, 2, 3, 4, 5, 6, 7])
+            .expect("same generation restores");
+        assert_eq!(stats.entries_restored, 6);
+        assert_eq!(stats.entries_skipped, 0);
+        assert!(stats.bloom_restored);
+        let restored_bloom = cache.export_state().bloom.expect("bounded cache");
+        let saved_bloom = bloom.expect("bounded donor");
+        assert_eq!(restored_bloom.counters, saved_bloom.counters);
+        assert_eq!(restored_bloom.observed, saved_bloom.observed);
+
+        cache.insert(shape(7), 7);
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.get(&shape(4)), None, "oldest saved tick is evicted");
+        for i in [1, 2, 3, 5, 6, 7] {
+            assert_eq!(cache.get(&shape(i)), Some(i));
+        }
     }
 
     #[test]
@@ -1467,48 +922,5 @@ pub(crate) mod tests {
         assert_eq!(cached.cached_shapes(), 0);
         let again = cached.select_outcome(&shape).unwrap();
         assert!(!again.cache_hit, "stale decision must not be served");
-    }
-
-    #[test]
-    fn snapshot_serialises() {
-        let cached = CachedSelector::new(trained());
-        cached.select(&GemmShape::new(50, 60, 70)).unwrap();
-        let snap = cached.telemetry().snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.misses, 1);
-        assert_eq!(back.picks.len(), cached.selector().configs().len());
-    }
-
-    #[test]
-    fn record_n_equals_n_single_records() {
-        for nanos in [0, 1, 1023, 1024, u64::MAX] {
-            for n in [0, 1, 5] {
-                let batched = LatencyHistogram::new();
-                let single = LatencyHistogram::new();
-                batched.record_n(nanos, n);
-                for _ in 0..n {
-                    single.record(nanos);
-                }
-                assert_eq!(
-                    batched.bucket_counts(),
-                    single.bucket_counts(),
-                    "{nanos} x {n}"
-                );
-                assert_eq!(batched.count(), single.count(), "{nanos} x {n}");
-                assert_eq!(batched.count(), n);
-            }
-        }
-        // 0 and 1 share the lowest bucket; 1023 and 1024 straddle a
-        // bucket edge.
-        assert_eq!(
-            LatencyHistogram::bucket_of(0),
-            LatencyHistogram::bucket_of(1)
-        );
-        assert_eq!(
-            LatencyHistogram::bucket_of(1023) + 1,
-            LatencyHistogram::bucket_of(1024)
-        );
-        assert_eq!(LatencyHistogram::bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
     }
 }

@@ -42,9 +42,9 @@
 //! (`tests/ingress_serving.rs` and the `micro_ingress` bench pin
 //! this).
 
-use crate::cache::LatencyHistogram;
 use crate::persist::{RestoreOutcome, Snapshot, SnapshotterConfig};
 use crate::sched::{GemmRequest, ShardedScheduler};
+use crate::telemetry::LatencyHistogram;
 use crate::{CoreError, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;

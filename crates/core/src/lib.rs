@@ -53,10 +53,10 @@ pub mod report;
 pub mod resilient;
 pub mod sched;
 pub mod select;
+pub mod telemetry;
 
 pub use cache::{
-    BoundedCacheConfig, CachedSelector, CountingBloom, LatencyHistogram, SelectionOutcome,
-    SelectionTelemetry, ShardedCache, TelemetrySnapshot,
+    BoundedCacheConfig, CachedSelector, CountingBloom, DecisionCache, SelectionOutcome,
 };
 pub use dataset::{PerformanceDataset, StaticPruneStats};
 pub use ingress::{
@@ -79,6 +79,7 @@ pub use sched::{
     SchedTelemetry, ShardedScheduler,
 };
 pub use select::{AnalyticalSelector, FeatureSpace, Selector, SelectorKind};
+pub use telemetry::{LatencyHistogram, SelectionTelemetry, TelemetrySnapshot};
 
 /// Errors from the selection pipeline.
 #[derive(Debug)]

@@ -143,12 +143,14 @@ pub struct CacheEntryState {
     pub last_used: u64,
 }
 
-/// One cache shard's live entries and LRU tick.
+/// One slice of the cache's entries and its LRU tick. The cache exports
+/// its one table as a single shard; snapshots written when the cache was
+/// split into shards carry one per shard, and restore merges them.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CacheShardState {
-    /// The shard's LRU tick counter.
+    /// The LRU tick counter.
     pub tick: u64,
-    /// Live (current-generation) entries.
+    /// The cached entries.
     pub entries: Vec<CacheEntryState>,
 }
 
@@ -163,12 +165,12 @@ pub struct BloomState {
     pub counters: Vec<u64>,
 }
 
-/// The sharded decision cache's warm state.
+/// The decision cache's warm state.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CacheState {
     /// Cache generation at capture time.
     pub generation: u64,
-    /// Per-shard entries and ticks.
+    /// Entries and ticks: one shard from the current cache.
     pub shards: Vec<CacheShardState>,
     /// Admission-filter counters (bounded mode only).
     pub bloom: Option<BloomState>,
@@ -226,7 +228,7 @@ pub struct TelemetryState {
     /// Stale-generation rewards dropped.
     pub stale_rewards_dropped: u64,
     /// Decision-latency histogram bucket counts
-    /// ([`crate::cache::LATENCY_BUCKETS`] entries).
+    /// ([`crate::telemetry::LATENCY_BUCKETS`] entries).
     pub latency_buckets: Vec<u64>,
 }
 

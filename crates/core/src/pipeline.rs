@@ -1,7 +1,7 @@
 //! The end-to-end tuning pipeline: collect → split → prune → train →
 //! evaluate → deploy, tying Sections II-IV together behind one call.
 
-use crate::cache::{CachedSelector, SelectionTelemetry};
+use crate::cache::CachedSelector;
 use crate::codegen::{emit_rust_source, CompiledTree};
 use crate::dataset::{PerformanceDataset, StaticPruneStats};
 use crate::evaluate;
@@ -9,6 +9,7 @@ use crate::online::{OnlineConfig, OnlineSelector};
 use crate::prune::PruneMethod;
 use crate::resilient::{ResilientExecutor, ResilientPolicy};
 use crate::select::{Selector, SelectorKind};
+use crate::telemetry::SelectionTelemetry;
 use crate::{CoreError, Result};
 use autokernel_analyze::{AnalyticalScorer, KernelSpaceAnalyzer, SpaceAnalysis};
 use autokernel_gemm::{GemmShape, KernelConfig};
@@ -393,7 +394,6 @@ impl TuningPipeline {
     ) -> Result<ResilientExecutor> {
         let serving = Arc::new(CachedSelector::with_bounded_cache(
             Arc::clone(&self.selector),
-            crate::cache::DEFAULT_SHARDS,
             cache,
         ));
         self.device_executor_with(serving, queue, policy)

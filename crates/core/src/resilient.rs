@@ -22,8 +22,9 @@
 //!    with correct results.
 //!
 //! Every decision is visible: retries, breaker trips, quarantine skips
-//! and fallback depths flow into [`SelectionTelemetry`] counters and
-//! into the [`LaunchDecision`] annotations a
+//! and fallback depths flow into
+//! [`SelectionTelemetry`](crate::SelectionTelemetry) counters and into
+//! the [`LaunchDecision`] annotations a
 //! [`autokernel_sycl_sim::TraceRecorder`] renders.
 //!
 //! [`ResilientExecutor::launch_batch`] serves a coalesced batch of

@@ -57,7 +57,6 @@
 //! the shard configuration, which `tests/sharded_scheduler.rs` pins
 //! with a property test replaying random streams on fresh fleets.
 
-use crate::online::OnlineSelector;
 use crate::resilient::{LaunchReport, ResilientExecutor};
 use crate::{CoreError, Result};
 use autokernel_analyze::SpaceAnalysis;
@@ -66,7 +65,6 @@ use autokernel_sycl_sim::trace::TraceRecorder;
 use autokernel_sycl_sim::{Buffer, Event, LaunchDecision, SimClock};
 use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// How the scheduler picks a device for each batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +175,6 @@ impl GemmRequest {
 pub struct DeviceShard {
     label: String,
     executor: ResilientExecutor,
-    online: Option<Arc<OnlineSelector>>,
     /// Shipped-set fitness on this device in `[0, 1]`, consumed by
     /// [`RoutingPolicy::PerfAware`]. Defaults to 1 (no discount).
     fitness: f64,
@@ -195,11 +192,9 @@ impl DeviceShard {
         let peak_flops = device.peak_flops.max(1.0);
         let launch_overhead_s = device.launch_overhead.max(0.0);
         let clock = executor.queue().clock();
-        let online = executor.online().cloned();
         DeviceShard {
             label: label.into(),
             executor,
-            online,
             fitness: 1.0,
             clock,
             peak_flops,
@@ -481,7 +476,7 @@ impl ShardedScheduler {
                     flops_done: state.flops_done,
                     elapsed_s: (state.shard.clock.now_s() - state.clock_origin).max(0.0),
                     condemned_seq: state.condemned_seq,
-                    online: state.shard.online.as_ref().map(|o| o.export_state()),
+                    online: state.shard.executor.online().map(|o| o.export_state()),
                     cache: serving.cache().export_state(),
                     telemetry: serving.telemetry().export_state(),
                 }
@@ -535,7 +530,7 @@ impl ShardedScheduler {
             live.batches = saved.batches;
             live.reference_fallbacks = saved.reference_fallbacks;
             live.condemned_seq = saved.condemned_seq;
-            match (&live.shard.online, &saved.online) {
+            match (live.shard.executor.online(), &saved.online) {
                 (Some(online), Some(saved_online))
                     if online.restore_state(saved_online).is_err() =>
                 {
@@ -994,7 +989,7 @@ mod tests {
     use crate::pipeline::{PipelineConfig, TuningPipeline};
     use crate::resilient::ResilientPolicy;
     use autokernel_sycl_sim::{DeviceSpec, FaultPlan, Queue};
-    use std::sync::OnceLock;
+    use std::sync::{Arc, OnceLock};
 
     fn shapes() -> Vec<(GemmShape, String)> {
         [

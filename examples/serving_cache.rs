@@ -2,7 +2,7 @@
 //!
 //! A trained pipeline sits behind an inference server. The same few
 //! layer shapes recur on every request, so after the first touch every
-//! dispatch decision is a sharded hash-map lookup instead of a model
+//! dispatch decision is a locked hash-map lookup instead of a model
 //! inference. This example:
 //!
 //! 1. trains the default pipeline,

@@ -7,7 +7,7 @@
 //! and the all-shards-poisoned meltdown path degrading to the
 //! reference kernel with zero drops.
 
-use autokernel::core::cache::{BoundedCacheConfig, CountingBloom, ShardedCache};
+use autokernel::core::cache::{BoundedCacheConfig, CountingBloom, DecisionCache};
 use autokernel::core::resilient::ResilientPolicy;
 use autokernel::core::sched::{
     DeviceShard, GemmRequest, RoutingPolicy, SchedConfig, ShardedScheduler,
@@ -35,16 +35,13 @@ fn pool_shape(i: usize) -> GemmShape {
     )
 }
 
-fn bounded(capacity: usize, shards: usize) -> ShardedCache {
-    ShardedCache::bounded(
-        shards,
-        BoundedCacheConfig {
-            capacity,
-            bloom_counters: 1 << 14,
-            bloom_hashes: 4,
-            admit_threshold: 1,
-        },
-    )
+fn bounded(capacity: usize) -> DecisionCache {
+    DecisionCache::bounded(BoundedCacheConfig {
+        capacity,
+        bloom_counters: 1 << 14,
+        bloom_hashes: 4,
+        admit_threshold: 1,
+    })
 }
 
 /// An entry that is read on every round is never the LRU victim: each
@@ -52,7 +49,7 @@ fn bounded(capacity: usize, shards: usize) -> ShardedCache {
 /// the one in active use.
 #[test]
 fn hot_entry_survives_cache_churn() {
-    let cache = bounded(8, 1);
+    let cache = bounded(8);
     let hot = GemmShape::new(512, 512, 512);
     cache.insert(hot, 7);
     for i in 0..1000 {
@@ -67,16 +64,46 @@ fn hot_entry_survives_cache_churn() {
     assert!(cache.evictions() > 900, "churn must actually evict");
 }
 
+/// The victim is the least recently used entry of the whole table, not
+/// of whatever slice of it the arriving shape hashes into: after a, b,
+/// c and d fill a 4-entry cache and a is read, inserting e evicts b.
+#[test]
+fn eviction_is_least_recently_used_across_the_whole_table() {
+    let cache = bounded(4);
+    let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(pool_shape);
+    for (i, shape) in [a, b, c, d].into_iter().enumerate() {
+        cache.insert(shape, i);
+    }
+    assert_eq!(cache.get(&a), Some(0));
+    cache.insert(e, 4);
+    assert_eq!(cache.evictions(), 1);
+    assert_eq!(cache.get(&b), None, "b was the least recently used");
+    for (shape, config) in [(a, 0), (c, 2), (d, 3), (e, 4)] {
+        assert_eq!(cache.get(&shape), Some(config));
+    }
+}
+
 /// Replay one trace through a small and a double-size cache: LRU's
 /// stack (inclusion) property makes hits monotone in capacity. This is
 /// exactly why the bounded mode evicts LRU rather than CLOCK, which
-/// has no such guarantee.
+/// has no such guarantee. Every access must also hit exactly when a
+/// reference LRU list over the whole table holds the shape.
 fn replay_hits(trace: &[usize], capacity: usize) -> u64 {
-    let cache = bounded(capacity, 4);
+    let cache = bounded(capacity);
+    let mut reference: Vec<usize> = Vec::new();
     let mut hits = 0u64;
     for &i in trace {
         let shape = pool_shape(i);
-        if cache.get(&shape).is_some() {
+        let expected = reference.iter().position(|&r| r == i);
+        let hit = cache.get(&shape).is_some();
+        assert_eq!(hit, expected.is_some(), "access {i} disagrees with LRU");
+        if let Some(at) = expected {
+            reference.remove(at);
+        } else if reference.len() == capacity {
+            reference.remove(0);
+        }
+        reference.push(i);
+        if hit {
             hits += 1;
         } else {
             cache.insert(shape, i % 640);
@@ -108,7 +135,7 @@ proptest! {
 /// with at most (a small multiple of) the classic Bloom bound.
 #[test]
 fn bloom_false_positive_rate_stays_under_bound() {
-    let bloom = CountingBloom::new(1 << 14, 4);
+    let mut bloom = CountingBloom::new(1 << 14, 4);
     let inserted = 2000usize;
     for i in 0..inserted {
         bloom.observe(&pool_shape(i));
@@ -136,7 +163,7 @@ fn bloom_false_positive_rate_stays_under_bound() {
 /// always.
 #[test]
 fn bounded_cache_is_consistent_under_8_threads() {
-    let cache = Arc::new(bounded(64, 8));
+    let cache = Arc::new(bounded(64));
     let hot = GemmShape::new(512, 512, 512);
     cache.insert(hot, (hot.stable_hash() % 640) as usize);
     let threads = 8usize;

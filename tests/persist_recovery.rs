@@ -6,12 +6,12 @@
 //! accounting across a restart, concurrent snapshot-while-serving
 //! consistency, and cross-device transplant warm start.
 
-use autokernel::core::cache::LATENCY_BUCKETS;
 use autokernel::core::persist::{
     self, ArmState, CacheEntryState, CacheShardState, CacheState, ClusterSnapshot, OnlineState,
     TelemetryState,
 };
 use autokernel::core::resilient::ResilientPolicy;
+use autokernel::core::telemetry::LATENCY_BUCKETS;
 use autokernel::core::{
     DeviceShard, GemmRequest, Ingress, IngressConfig, IngressRequest, OnlineConfig,
     PerformanceDataset, PipelineConfig, RestoreOutcome, SchedConfig, ShardedScheduler, Snapshot,
