@@ -77,15 +77,18 @@ fn bench_online(c: &mut Criterion) {
     let nano = Arc::new(DeviceSpec::amd_r9_nano());
     let edge = Arc::new(DeviceSpec::edge_dsp());
 
+    // One trained pipeline; every stack built from it below has its own
+    // decision cache and telemetry.
+    let pipeline =
+        TuningPipeline::from_dataset(ds, PipelineConfig::default()).expect("pipeline trains");
+
     // Decision-latency group: one pick through each policy stage.
     let probe = GemmShape::new(3136, 576, 192);
-    let latency_pipeline = TuningPipeline::from_dataset(ds.clone(), PipelineConfig::default())
-        .expect("pipeline trains");
-    let mirror = latency_pipeline
+    let mirror = pipeline
         .online_selector(OnlineConfig::default())
         .expect("online selector builds");
     mirror.select(&probe).expect("warms the cache");
-    let adaptive = latency_pipeline
+    let adaptive = pipeline
         .online_selector(OnlineConfig::default())
         .expect("online selector builds");
     adaptive.force_drift();
@@ -117,8 +120,6 @@ fn bench_online(c: &mut Criterion) {
 
     // The swap scenario. Timing-only queues: every number below is
     // simulated device time, the host never runs kernel bodies.
-    let pipeline = TuningPipeline::from_dataset(ds.clone(), PipelineConfig::default())
-        .expect("pipeline trains");
     let policy = ResilientPolicy::default();
     let (nano_exec, online) = pipeline
         .adaptive_executor(
@@ -130,10 +131,7 @@ fn bench_online(c: &mut Criterion) {
     let edge_exec = pipeline
         .resilient_executor(Queue::timing_only(Arc::clone(&edge)), policy.clone())
         .with_online(Arc::clone(&online));
-    let static_pipeline =
-        TuningPipeline::from_dataset(ds, PipelineConfig::default()).expect("pipeline trains");
-    let static_exec =
-        static_pipeline.resilient_executor(Queue::timing_only(Arc::clone(&edge)), policy);
+    let static_exec = pipeline.resilient_executor(Queue::timing_only(Arc::clone(&edge)), policy);
 
     let buffers: Vec<_> = shapes
         .iter()

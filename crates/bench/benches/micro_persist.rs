@@ -166,14 +166,14 @@ fn bench_persist(c: &mut Criterion) {
     let restored = Snapshot::load(&path).expect("snapshot loads");
     let fresh = TuningPipeline::from_dataset(dataset.clone(), PipelineConfig::default())
         .expect("pipeline trains");
-    let (exec, online, outcome) = fresh
-        .warm_adaptive_executor(
+    let (exec, online) = fresh
+        .adaptive_executor(
             Queue::timing_only(Arc::clone(&gpu)),
             ResilientPolicy::default(),
             learn_config(),
-            &restored,
         )
-        .expect("warm executor builds");
+        .expect("adaptive executor builds");
+    let outcome = restored.restore_stack(&online, &gpu);
     let dropped = match &outcome {
         RestoreOutcome::Full => 0,
         RestoreOutcome::Partial { dropped } => dropped.len() as u64,

@@ -6,11 +6,11 @@
 //!
 //! Compares the cost of one selection decision across classifier
 //! families, plus the compiled (nested-`if`) decision tree a library
-//! would actually ship, and the serving layer on top: the sharded
-//! decision cache (`selection_cache` group, warm-hit vs model
+//! would actually ship, and the serving layer on top: the decision
+//! cache (`selection_cache` group, warm-hit vs model
 //! inference — the headline is the cached/uncached ratio printed after
-//! the group) and parallel batch throughput (`selection_throughput`
-//! group, decisions/second via `Throughput::Elements`).
+//! the group) and batch throughput (`selection_throughput` group,
+//! decisions/second via `Throughput::Elements`).
 
 use autokernel_bench::{paper_dataset, save_result, standard_split, MODEL_SEED};
 use autokernel_core::cache::CachedSelector;
@@ -18,7 +18,7 @@ use autokernel_core::codegen::CompiledTree;
 use autokernel_core::resilient::{BreakerState, ResilientExecutor, ResilientPolicy};
 use autokernel_core::select::Selector;
 use autokernel_core::{PipelineConfig, PruneMethod, SelectorKind, TuningPipeline};
-use autokernel_gemm::{GemmShape, TiledGemmKernel};
+use autokernel_gemm::{GemmShape, KernelConfig, TiledGemmKernel};
 use autokernel_sycl_sim::fault::FaultPlan;
 use autokernel_sycl_sim::{Buffer, DeviceSpec, Queue};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -151,9 +151,15 @@ fn bench_selection_throughput(c: &mut Criterion) {
         bench.iter(|| black_box(sel.select_batch(black_box(&batch)).unwrap()));
     });
     let cached = CachedSelector::new(Arc::clone(&sel));
-    cached.warm(&working_set).unwrap();
-    group.bench_function("parallel_cached_select_batch", |bench| {
-        bench.iter(|| black_box(cached.select_batch(black_box(&batch)).unwrap()));
+    for shape in &working_set {
+        cached.select(shape).unwrap(); // warm the working set
+    }
+    group.bench_function("sequential_cached", |bench| {
+        bench.iter(|| {
+            for shape in &batch {
+                black_box(cached.select(black_box(shape)).unwrap());
+            }
+        });
     });
     group.finish();
 }
@@ -188,10 +194,13 @@ fn bench_resilience(c: &mut Criterion) {
         ..ResilientPolicy::default()
     };
 
-    // Plain submission, as an unguarded caller would do it.
+    // Plain submission, as an unguarded caller would do it: a bare
+    // memoised selector over the pipeline's model, then the queue.
     let plain_queue = Queue::timing_only(device.clone());
+    let plain_cache = CachedSelector::new(Arc::clone(pipeline.selector()));
     let run_plain = || {
-        let cfg = pipeline.select_cached(&probe).expect("selection succeeds");
+        let index = plain_cache.select(&probe).expect("selection succeeds");
+        let cfg = KernelConfig::from_index(index).expect("a shipped config");
         let kernel = TiledGemmKernel::new(cfg, probe, a.clone(), b.clone(), cbuf.clone())
             .expect("kernel assembles");
         plain_queue

@@ -11,7 +11,7 @@
 //! * the memo is one [`DecisionCache`] table behind one mutex. A single
 //!   ingress dispatcher makes every serving decision, so the lock is
 //!   uncontended there; it stays so the selector can still be shared by
-//!   `Arc` among the executor, the online layer and the pipeline;
+//!   `Arc` between an executor and its online layer;
 //! * every decision updates a lock-free [`SelectionTelemetry`] block —
 //!   hit/miss counters, per-shipped-configuration pick counts and
 //!   latency accumulators — cheap enough to leave on in production and
@@ -24,7 +24,6 @@ use crate::telemetry::SelectionTelemetry;
 use crate::Result;
 use autokernel_gemm::GemmShape;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,11 +105,6 @@ impl CountingBloom {
         self.observed
     }
 
-    /// The configured counter-array size.
-    pub fn counter_count(&self) -> usize {
-        self.counters.len()
-    }
-
     /// The classic Bloom false-positive bound for `n` distinct inserted
     /// keys: `(1 - e^(-k·n/m))^k`. A query for a never-seen shape reads
     /// a non-zero minimum counter with at most this probability.
@@ -174,7 +168,6 @@ struct Table {
     oldest: Option<usize>,
     newest: Option<usize>,
     tick: u64,
-    generation: u64,
     bloom: Option<CountingBloom>,
     evictions: u64,
     admission_rejects: u64,
@@ -285,12 +278,10 @@ impl Table {
 ///   property makes hit rates monotone in capacity, which
 ///   `tests/ingress_serving.rs` pins.
 ///
-/// Invalidation drops entries under the lock:
-/// [`DecisionCache::clear`] empties the table, and
-/// [`DecisionCache::bump_generation`] empties it and advances the
-/// generation, which the drift path in [`crate::online`] uses after a
-/// device-profile shift and which snapshots carry so a restore cannot
-/// undo a drift trip.
+/// Every entry is the trained model's answer for its shape, and the
+/// model never changes while serving, so nothing invalidates entries
+/// but [`DecisionCache::clear`] (after retraining). A drift trip leaves
+/// the table alone: the online layer's adaptive stage never reads it.
 #[derive(Debug, Default)]
 pub struct DecisionCache {
     table: Mutex<Table>,
@@ -378,25 +369,9 @@ impl DecisionCache {
         self.len() == 0
     }
 
-    /// Drop every cached decision (e.g. after retraining the selector),
-    /// keeping the generation.
+    /// Drop every cached decision (e.g. after retraining the selector).
     pub fn clear(&self) {
         self.table.lock().drop_entries();
-    }
-
-    /// Drop every cached decision and advance the cache generation —
-    /// the drift-invalidation path. Returns the new generation.
-    pub fn bump_generation(&self) -> u64 {
-        let mut table = self.table.lock();
-        table.drop_entries();
-        table.generation += 1;
-        table.generation
-    }
-
-    /// The current cache generation (starts at 0, advanced by
-    /// [`DecisionCache::bump_generation`]).
-    pub fn generation(&self) -> u64 {
-        self.table.lock().generation
     }
 
     /// The total entry capacity, or `None` in unbounded mode.
@@ -438,7 +413,6 @@ impl DecisionCache {
             counters: b.counters.iter().map(|&c| u64::from(c)).collect(),
         });
         CacheState {
-            generation: table.generation,
             shards: vec![CacheShardState {
                 tick: table.tick,
                 entries,
@@ -447,12 +421,9 @@ impl DecisionCache {
         }
     }
 
-    /// Re-warm the cache from an exported state. The snapshot
-    /// generation must not be behind the live one (a drift trip after
-    /// capture must not be undone); a newer one first drops the live
-    /// entries, as a bump would. The entries of every saved shard merge
-    /// into the one table, so a snapshot written by a sharded cache
-    /// restores whole. Entries whose configuration is no longer in
+    /// Re-warm the cache from an exported state. The entries of every
+    /// saved shard merge into the one table, so a snapshot written by a
+    /// sharded cache restores whole. Entries whose configuration is no longer in
     /// `shipped` are skipped, as are entries that would overflow a
     /// bounded table (restore never evicts; the most recently used
     /// entries are admitted first). The recency list is relinked in
@@ -461,23 +432,9 @@ impl DecisionCache {
     /// geometry; otherwise they are left cold and
     /// [`CacheRestoreStats::bloom_restored`] is false.
     // lint:allow-fn(no-alloc) snapshot restore is a cold startup path
-    pub fn restore_state(
-        &self,
-        state: &CacheState,
-        shipped: &[usize],
-    ) -> std::result::Result<CacheRestoreStats, String> {
+    pub fn restore_state(&self, state: &CacheState, shipped: &[usize]) -> CacheRestoreStats {
         let mut guard = self.table.lock();
         let table = &mut *guard;
-        if state.generation < table.generation {
-            return Err(format!(
-                "cache generation regression: snapshot {} < live {}",
-                state.generation, table.generation
-            ));
-        }
-        if state.generation > table.generation {
-            table.drop_entries();
-            table.generation = state.generation;
-        }
         // The live entries, then the saved ones, most recent first, while
         // they fit.
         let mut merged: HashMap<GemmShape, (usize, u64)> = table
@@ -524,11 +481,11 @@ impl DecisionCache {
             (None, None) => true,
             _ => false,
         };
-        Ok(CacheRestoreStats {
+        CacheRestoreStats {
             entries_restored: restored,
             entries_skipped: skipped,
             bloom_restored,
-        })
+        }
     }
 }
 
@@ -607,11 +564,6 @@ impl CachedSelector {
         })
     }
 
-    /// Select for many shapes in parallel (rayon), through the cache.
-    pub fn select_batch(&self, shapes: &[GemmShape]) -> Result<Vec<usize>> {
-        shapes.par_iter().map(|s| self.select(s)).collect()
-    }
-
     /// [`CachedSelector::select`] as a `u16` configuration index. Kept
     /// only because the end-to-end benchmark still times it; it will be
     /// removed.
@@ -619,12 +571,6 @@ impl CachedSelector {
     pub fn decide(&self, shape: &GemmShape) -> Result<u16> {
         let config_index = self.select(shape)?;
         u16::try_from(config_index).map_err(|_| crate::CoreError::BadConfigIndex(config_index))
-    }
-
-    /// Run the model for every shape up front so later traffic is all
-    /// cache hits. Warm-up counts as misses in the telemetry.
-    pub fn warm(&self, shapes: &[GemmShape]) -> Result<()> {
-        self.select_batch(shapes).map(|_| ())
     }
 
     /// The wrapped selector.
@@ -646,17 +592,6 @@ impl CachedSelector {
     /// inspection).
     pub fn cache(&self) -> &DecisionCache {
         &self.cache
-    }
-
-    /// Forget every cached decision, keeping telemetry history.
-    pub fn invalidate(&self) {
-        self.cache.clear();
-    }
-
-    /// Forget every cached decision and advance the cache generation —
-    /// the drift-invalidation path. Returns the new generation.
-    pub fn invalidate_generation(&self) -> u64 {
-        self.cache.bump_generation()
     }
 }
 
@@ -786,35 +721,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn invalidate_forces_remodelling() {
-        let cached = CachedSelector::new(trained());
-        let shape = GemmShape::new(96, 96, 96);
-        cached.select(&shape).unwrap();
-        assert_eq!(cached.cached_shapes(), 1);
-        cached.invalidate();
-        assert_eq!(cached.cached_shapes(), 0);
-        let again = cached.select_outcome(&shape).unwrap();
-        assert!(!again.cache_hit);
-        assert_eq!(cached.telemetry().misses(), 2);
-    }
-
-    #[test]
-    fn batch_matches_singles_and_warms_cache() {
-        let sel = trained();
-        let cached = CachedSelector::new(Arc::clone(&sel));
-        let shapes: Vec<GemmShape> = (1..=12).map(|i| GemmShape::new(i * 17, 256, 96)).collect();
-        let batch = cached.select_batch(&shapes).unwrap();
-        for (shape, &idx) in shapes.iter().zip(&batch) {
-            assert_eq!(sel.select_shape(shape).unwrap(), idx);
-        }
-        assert_eq!(cached.cached_shapes(), shapes.len());
-        // Everything is warm now: a second batch is pure hits.
-        let before = cached.telemetry().hits();
-        cached.select_batch(&shapes).unwrap();
-        assert_eq!(cached.telemetry().hits(), before + shapes.len() as u64);
-    }
-
-    #[test]
     fn decision_cache_basics() {
         let cache = DecisionCache::new();
         assert!(cache.is_empty());
@@ -826,31 +732,6 @@ pub(crate) mod tests {
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn generation_bump_drops_every_entry() {
-        let cache = DecisionCache::new();
-        let a = GemmShape::new(10, 20, 30);
-        let b = GemmShape::new(40, 50, 60);
-        cache.insert(a, 1);
-        cache.insert(b, 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.generation(), 0);
-
-        assert_eq!(cache.bump_generation(), 1);
-        assert_eq!(cache.get(&a), None, "invalidated entry reads as absent");
-        assert_eq!(cache.get(&b), None);
-        assert!(cache.is_empty());
-        assert_eq!(cache.footprint(), 0, "the bump frees the entries");
-
-        // Re-inserting under the new generation starts afresh; the
-        // dropped value does not leak out as "previous".
-        assert_eq!(cache.insert(a, 7), None);
-        assert_eq!(cache.get(&a), Some(7));
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert_eq!(cache.generation(), 1, "clear keeps the generation");
     }
 
     /// A snapshot written by a sharded cache, whose per-shard ticks
@@ -884,7 +765,6 @@ pub(crate) mod tests {
                 .collect(),
         };
         let state = CacheState {
-            generation: 0,
             shards: vec![
                 shard(9, &[(1, 5), (2, 9)]),
                 shard(5, &[(3, 5), (4, 2)]),
@@ -893,9 +773,7 @@ pub(crate) mod tests {
             bloom: bloom.clone(),
         };
         let cache = DecisionCache::bounded(config);
-        let stats = cache
-            .restore_state(&state, &[1, 2, 3, 4, 5, 6, 7])
-            .expect("same generation restores");
+        let stats = cache.restore_state(&state, &[1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(stats.entries_restored, 6);
         assert_eq!(stats.entries_skipped, 0);
         assert!(stats.bloom_restored);
@@ -910,17 +788,5 @@ pub(crate) mod tests {
         for i in [1, 2, 3, 5, 6, 7] {
             assert_eq!(cache.get(&shape(i)), Some(i));
         }
-    }
-
-    #[test]
-    fn invalidate_generation_forces_remodelling() {
-        let cached = CachedSelector::new(trained());
-        let shape = GemmShape::new(96, 96, 96);
-        cached.select(&shape).unwrap();
-        assert_eq!(cached.cached_shapes(), 1);
-        cached.invalidate_generation();
-        assert_eq!(cached.cached_shapes(), 0);
-        let again = cached.select_outcome(&shape).unwrap();
-        assert!(!again.cache_hit, "stale decision must not be served");
     }
 }

@@ -9,8 +9,8 @@
 //! * **Mirror** (cold start): every decision delegates verbatim to the
 //!   cached offline classifier, so with no drift the serving behaviour
 //!   is bit-identical to the static stack. Meanwhile every measured
-//!   completion ([`autokernel_sycl_sim::LaunchMeasurement`] durations
-//!   fed through [`OnlineSelector::record_success`]) builds per-arm
+//!   completion (an [`autokernel_sycl_sim::Event`]'s duration fed
+//!   through [`OnlineSelector::record_success`]) builds per-arm
 //!   duration baselines and drives the drift detector.
 //! * **Adaptive** (post-drift): decisions come from a UCB1-style bandit
 //!   per shape-cluster over the shipped configurations, seeded from the
@@ -23,9 +23,10 @@
 //! fault-degraded part, or an `edge_dsp`-style train/serve mismatch
 //! pushes `x` far above 1 across launches and trips the detector. A
 //! trip re-ranks (resets bandit statistics so stale-device evidence
-//! cannot outvote fresh reality), bumps the decision-cache generation
-//! (O(1) invalidation of every memoised shape decision), and switches
-//! the policy to the adaptive stage.
+//! cannot outvote fresh reality), advances the selector generation and
+//! switches the policy to the adaptive stage. The decision cache is
+//! left alone: its entries are the trained model's answers, which drift
+//! does not change, and the adaptive stage never reads them.
 
 use crate::cache::{CachedSelector, SelectionOutcome};
 use crate::{CoreError, Result};
@@ -233,6 +234,12 @@ impl OnlineSelector {
 
     /// The wrapped cached selector (telemetry lives here).
     pub fn cached(&self) -> &CachedSelector {
+        &self.cached
+    }
+
+    /// The shared handle on the wrapped cached selector, so an executor
+    /// the layer is attached to counts in the same telemetry block.
+    pub(crate) fn cached_arc(&self) -> &Arc<CachedSelector> {
         &self.cached
     }
 
@@ -603,8 +610,8 @@ impl OnlineSelector {
     }
 
     /// The drift transition: reset bandit statistics (old-device
-    /// evidence is now misinformation), reset the detector, bump the
-    /// decision-cache generation and enter the adaptive stage.
+    /// evidence is now misinformation), reset the detector, advance the
+    /// generation and enter the adaptive stage.
     fn drift_locked(&self, inner: &mut Inner) {
         inner.clusters.clear();
         inner.ph.reset();
@@ -613,7 +620,6 @@ impl OnlineSelector {
         // the new value and be dropped.
         self.generation.fetch_add(1, Ordering::AcqRel); // atomic:role(publish)
         self.adaptive.store(true, Ordering::Release); // atomic:role(flag)
-        self.cached.invalidate_generation();
         self.cached.telemetry().record_drift_event();
     }
 }

@@ -41,6 +41,7 @@
 //! and [`crate::Ingress::start_restored`] warm-starts a scheduler from
 //! the last snapshot on disk.
 
+use crate::cache::CachedSelector;
 use crate::online::OnlineSelector;
 use crate::sched::ShardedScheduler;
 use autokernel_gemm::GemmShape;
@@ -165,11 +166,10 @@ pub struct BloomState {
     pub counters: Vec<u64>,
 }
 
-/// The decision cache's warm state.
+/// The decision cache's warm state. Snapshots written by older builds
+/// also carry a `generation` field, which restore ignores.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CacheState {
-    /// Cache generation at capture time.
-    pub generation: u64,
     /// Entries and ticks: one shard from the current cache.
     pub shards: Vec<CacheShardState>,
     /// Admission-filter counters (bounded mode only).
@@ -418,10 +418,10 @@ impl Snapshot {
     /// Capture a single-device serving stack: the online layer plus the
     /// decision cache and telemetry behind it.
     pub fn capture_stack(mut self, online: &OnlineSelector) -> Self {
-        self.online = Some(online.export_state());
-        let serving = online.cached();
-        self.cache = Some(serving.cache().export_state());
-        self.telemetry = Some(serving.telemetry().export_state());
+        let (online_state, cache, telemetry) = capture(online.cached(), Some(online));
+        self.online = online_state;
+        self.cache = Some(cache);
+        self.telemetry = Some(telemetry);
         self
     }
 
@@ -597,46 +597,12 @@ impl Snapshot {
             };
         }
         let mut dropped = self.dropped.clone();
-        let mut applied = 0usize;
-        match &self.online {
-            Some(state) => match online.restore_state(state) {
-                Ok(0) => applied += 1,
-                Ok(bad_clusters) => {
-                    applied += 1;
-                    dropped.push(format!("online:{bad_clusters}-clusters"));
-                }
-                Err(reason) => dropped.push(format!("online: {reason}")),
-            },
-            None => note_missing(&mut dropped, "online"),
-        }
-        let serving = online.cached();
-        match &self.cache {
-            Some(state) => {
-                match serving
-                    .cache()
-                    .restore_state(state, serving.selector().configs())
-                {
-                    Ok(stats) => {
-                        applied += 1;
-                        if stats.entries_skipped > 0 {
-                            dropped.push(format!("cache:{}-entries", stats.entries_skipped));
-                        }
-                        if !stats.bloom_restored {
-                            dropped.push("cache.bloom".to_string());
-                        }
-                    }
-                    Err(reason) => dropped.push(format!("cache: {reason}")),
-                }
-            }
-            None => note_missing(&mut dropped, "cache"),
-        }
-        match &self.telemetry {
-            Some(state) => match serving.telemetry().restore_state(state) {
-                Ok(()) => applied += 1,
-                Err(reason) => dropped.push(format!("telemetry: {reason}")),
-            },
-            None => note_missing(&mut dropped, "telemetry"),
-        }
+        let saved = (
+            self.online.as_ref(),
+            self.cache.as_ref(),
+            self.telemetry.as_ref(),
+        );
+        let applied = restore(online.cached(), Some(online), saved, "", &mut dropped);
         if applied == 0 {
             return RestoreOutcome::ColdStart {
                 error: SnapshotError::NothingRestored,
@@ -651,9 +617,10 @@ impl Snapshot {
 
     /// Apply a fleet snapshot to a live scheduler. Shards match by
     /// label; each shard re-checks its own device fingerprint, and
-    /// every nested section (cost model, online, cache, telemetry)
-    /// validates independently with `fleet.<label>.<piece>` names in
-    /// the partial outcome.
+    /// every nested piece (cost model, online, cache, telemetry)
+    /// validates independently. A dropped piece carries the name
+    /// [`Snapshot::restore_stack`] would give it, after
+    /// `fleet.<label>.` (e.g. `fleet.nano.online:1-clusters`).
     pub fn restore_fleet(
         &self,
         scheduler: &mut ShardedScheduler,
@@ -750,6 +717,75 @@ fn transplant_arms(arms: &[ArmState]) -> Vec<ArmState> {
             }
         })
         .collect()
+}
+
+/// One device stack's learned state — the online layer's, when it has
+/// one, then the decision cache's and the telemetry's. Stack and fleet
+/// snapshots both capture through here.
+pub(crate) fn capture(
+    cached: &CachedSelector,
+    online: Option<&OnlineSelector>,
+) -> (Option<OnlineState>, CacheState, TelemetryState) {
+    (
+        online.map(OnlineSelector::export_state),
+        cached.cache().export_state(),
+        cached.telemetry().export_state(),
+    )
+}
+
+/// Apply a device stack's saved pieces — online, then cache, then
+/// telemetry — to the live `cached` selector and its `online` layer.
+/// Each piece validates on its own; a dropped or missing one is named
+/// in `dropped` after `prefix`. Returns how many pieces applied.
+pub(crate) fn restore(
+    cached: &CachedSelector,
+    online: Option<&OnlineSelector>,
+    saved: (
+        Option<&OnlineState>,
+        Option<&CacheState>,
+        Option<&TelemetryState>,
+    ),
+    prefix: &str,
+    dropped: &mut Vec<String>,
+) -> usize {
+    let (saved_online, saved_cache, saved_telemetry) = saved;
+    let mut applied = 0;
+    match (online, saved_online) {
+        (Some(online), Some(state)) => match online.restore_state(state) {
+            Ok(0) => applied += 1,
+            Ok(bad_clusters) => {
+                applied += 1;
+                dropped.push(format!("{prefix}online:{bad_clusters}-clusters"));
+            }
+            Err(reason) => dropped.push(format!("{prefix}online: {reason}")),
+        },
+        (Some(_), None) => note_missing(dropped, &format!("{prefix}online")),
+        (None, Some(_)) => dropped.push(format!("{prefix}online: no online layer attached")),
+        (None, None) => {}
+    }
+    match saved_cache {
+        Some(state) => {
+            let stats = cached
+                .cache()
+                .restore_state(state, cached.selector().configs());
+            applied += 1;
+            if stats.entries_skipped > 0 {
+                dropped.push(format!("{prefix}cache:{}-entries", stats.entries_skipped));
+            }
+            if !stats.bloom_restored {
+                dropped.push(format!("{prefix}cache.bloom"));
+            }
+        }
+        None => note_missing(dropped, &format!("{prefix}cache")),
+    }
+    match saved_telemetry {
+        Some(state) => match cached.telemetry().restore_state(state) {
+            Ok(()) => applied += 1,
+            Err(reason) => dropped.push(format!("{prefix}telemetry: {reason}")),
+        },
+        None => note_missing(dropped, &format!("{prefix}telemetry")),
+    }
+    applied
 }
 
 /// Record a missing section, unless loading already recorded a failure

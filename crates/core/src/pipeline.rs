@@ -9,7 +9,6 @@ use crate::online::{OnlineConfig, OnlineSelector};
 use crate::prune::PruneMethod;
 use crate::resilient::{ResilientExecutor, ResilientPolicy};
 use crate::select::{Selector, SelectorKind};
-use crate::telemetry::SelectionTelemetry;
 use crate::{CoreError, Result};
 use autokernel_analyze::{AnalyticalScorer, KernelSpaceAnalyzer, SpaceAnalysis};
 use autokernel_gemm::{GemmShape, KernelConfig};
@@ -84,10 +83,9 @@ pub struct TuningPipeline {
     train_rows: Vec<usize>,
     test_rows: Vec<usize>,
     shipped: Vec<usize>,
-    /// Shared with `serving` so the cached and uncached paths are
-    /// provably the same model.
+    /// The trained model. Every serving stack the pipeline builds wraps
+    /// it in a cache of its own; the pipeline keeps no serving state.
     selector: Arc<Selector>,
-    serving: Arc<CachedSelector>,
     /// Static view of the configuration space on the dataset's device —
     /// consulted when building resilient fallback chains so a meltdown
     /// can never fall back onto a statically unlaunchable kernel.
@@ -113,14 +111,12 @@ impl TuningPipeline {
             &shipped,
             config.seed,
         )?);
-        let serving = Arc::new(CachedSelector::new(Arc::clone(&selector)));
         Ok(TuningPipeline {
             dataset,
             train_rows: split.train,
             test_rows: split.test,
             shipped,
             selector,
-            serving,
             analysis,
             prune_stats: None,
             config,
@@ -184,34 +180,12 @@ impl TuningPipeline {
             .collect()
     }
 
-    /// Select a configuration for an arbitrary shape (always runs the
-    /// model; see [`TuningPipeline::select_cached`] for serving).
+    /// Select a configuration for an arbitrary shape. This always runs
+    /// the model; the serving stacks the pipeline builds memoise their
+    /// decisions in caches of their own.
     pub fn select(&self, shape: &GemmShape) -> Result<KernelConfig> {
         let idx = self.selector.select_shape(shape)?;
         KernelConfig::from_index(idx).ok_or(CoreError::BadConfigIndex(idx))
-    }
-
-    /// Select a configuration through the concurrent serving cache:
-    /// identical results to [`TuningPipeline::select`], but repeated
-    /// shapes skip model inference and update the telemetry counters.
-    pub fn select_cached(&self, shape: &GemmShape) -> Result<KernelConfig> {
-        let idx = self.serving.select(shape)?;
-        KernelConfig::from_index(idx).ok_or(CoreError::BadConfigIndex(idx))
-    }
-
-    /// Select configurations for many shapes in parallel, through the
-    /// serving cache.
-    pub fn select_batch(&self, shapes: &[GemmShape]) -> Result<Vec<KernelConfig>> {
-        self.serving
-            .select_batch(shapes)?
-            .into_iter()
-            .map(|idx| KernelConfig::from_index(idx).ok_or(CoreError::BadConfigIndex(idx)))
-            .collect()
-    }
-
-    /// The serving cache wrapped around the trained selector.
-    pub fn serving(&self) -> &Arc<CachedSelector> {
-        &self.serving
     }
 
     /// Mean normalised performance of every configuration over the
@@ -234,39 +208,58 @@ impl TuningPipeline {
         means
     }
 
-    /// Build a [`ResilientExecutor`] serving this pipeline's model on
-    /// `queue`, with the fallback chain ranked by the shipped set's mean
-    /// normalised performance on the training rows.
-    pub fn resilient_executor(&self, queue: Queue, policy: ResilientPolicy) -> ResilientExecutor {
+    /// The shipped set in fallback order: best mean normalised
+    /// training-set performance first.
+    fn fallback_ranking(&self) -> Vec<usize> {
         let means = self.train_config_means();
         let mut ranked = self.shipped.clone();
         ranked.sort_by(|&a, &b| means[b].total_cmp(&means[a]));
+        ranked
+    }
+
+    /// Offline bandit priors: each shipped configuration's mean
+    /// normalised training-set performance, in `Selector::configs()`
+    /// order.
+    fn offline_priors(&self) -> Vec<f64> {
+        let means = self.train_config_means();
+        self.selector
+            .configs()
+            .iter()
+            .map(|&c| means.get(c).copied().unwrap_or(0.0))
+            .collect()
+    }
+
+    /// A fresh decision cache over the trained model. Every builder
+    /// takes one, so no two stacks share a cache or a telemetry block.
+    fn fresh_cache(&self) -> Arc<CachedSelector> {
+        Arc::new(CachedSelector::new(Arc::clone(&self.selector)))
+    }
+
+    /// Build a [`ResilientExecutor`] serving this pipeline's model on
+    /// `queue` through a fresh decision cache, with the fallback chain
+    /// ranked by the shipped set's mean normalised performance on the
+    /// training rows and filtered by the *training* device's static
+    /// analysis (see [`TuningPipeline::device_executor`] for a serving
+    /// device that differs).
+    pub fn resilient_executor(&self, queue: Queue, policy: ResilientPolicy) -> ResilientExecutor {
         ResilientExecutor::with_static_analysis(
-            Arc::clone(&self.serving),
+            self.fresh_cache(),
             queue,
-            ranked,
+            self.fallback_ranking(),
             policy,
             &self.analysis,
         )
     }
 
-    /// Build an [`OnlineSelector`] over this pipeline's serving cache,
-    /// with bandit priors seeded from each shipped configuration's mean
+    /// Build an [`OnlineSelector`] over a fresh decision cache, with
+    /// bandit priors seeded from each shipped configuration's mean
     /// normalised training-set performance — the offline classifier's
     /// own ranking, so the cold-start behaviour is bit-identical to the
     /// static stack until drift is detected.
     pub fn online_selector(&self, config: OnlineConfig) -> Result<Arc<OnlineSelector>> {
-        let means = self.train_config_means();
-        let priors: Vec<f64> = self
-            .serving
-            .selector()
-            .configs()
-            .iter()
-            .map(|&c| means.get(c).copied().unwrap_or(0.0))
-            .collect();
         Ok(Arc::new(OnlineSelector::new(
-            Arc::clone(&self.serving),
-            priors,
+            self.fresh_cache(),
+            self.offline_priors(),
             config,
         )?))
     }
@@ -281,7 +274,7 @@ impl TuningPipeline {
     /// the serving device differs from the training device.
     pub fn analytical_priors(&self, device: &DeviceSpec) -> Vec<f64> {
         let scorer = AnalyticalScorer::new(device);
-        let configs = self.serving.selector().configs().to_vec();
+        let configs = self.selector.configs().to_vec();
         let mut priors = vec![0.0f64; configs.len()];
         let mut rows = 0usize;
         for &row in &self.train_rows {
@@ -317,10 +310,9 @@ impl TuningPipeline {
         device: &DeviceSpec,
         config: OnlineConfig,
     ) -> Result<Arc<OnlineSelector>> {
-        let priors = self.analytical_priors(device);
         Ok(Arc::new(OnlineSelector::new(
-            Arc::clone(&self.serving),
-            priors,
+            self.fresh_cache(),
+            self.analytical_priors(device),
             config,
         )?))
     }
@@ -328,7 +320,8 @@ impl TuningPipeline {
     /// [`TuningPipeline::resilient_executor`] with the online layer
     /// attached: primary picks flow through `online`, and every launch
     /// outcome (including fallback rungs) feeds its reward estimates
-    /// and drift detector.
+    /// and drift detector. The executor adopts the online layer's fresh
+    /// decision cache, so the two count in one telemetry block.
     pub fn adaptive_executor(
         &self,
         queue: Queue,
@@ -342,44 +335,19 @@ impl TuningPipeline {
         Ok((executor, online))
     }
 
-    /// [`TuningPipeline::adaptive_executor`] warm-restarted from a
-    /// `core::persist` snapshot: the stack is built cold, then the
-    /// snapshot's online/cache/telemetry sections are applied
-    /// ([`crate::Snapshot::restore_stack`] semantics —
-    /// corruption-tolerant, device-fingerprint-checked). The typed
-    /// [`crate::RestoreOutcome`] reports exactly what was recovered; on
-    /// `ColdStart` the returned stack is simply the cold one, so the
-    /// caller always gets a serving executor.
-    pub fn warm_adaptive_executor(
-        &self,
-        queue: Queue,
-        policy: ResilientPolicy,
-        config: OnlineConfig,
-        snapshot: &crate::Snapshot,
-    ) -> Result<(
-        ResilientExecutor,
-        Arc<OnlineSelector>,
-        crate::RestoreOutcome,
-    )> {
-        let (executor, online) = self.adaptive_executor(queue, policy, config)?;
-        let outcome = snapshot.restore_stack(&online, executor.queue().device());
-        Ok((executor, online, outcome))
-    }
-
     /// Build a [`ResilientExecutor`] for a *serving* device that may
     /// differ from the training device: the kernel-space analyzer runs
     /// on `queue`'s device so the fallback chain is filtered against
-    /// the hardware the launches will actually hit, and the executor
-    /// gets its own fresh [`CachedSelector`] over the shared trained
-    /// model — per-device cache generations and telemetry, one model.
-    /// This is the per-shard stack a multi-device scheduler composes.
+    /// the hardware the launches will actually hit. Like every builder,
+    /// it gets a fresh decision cache over the shared trained model —
+    /// per-device cache and telemetry, one model. This is the per-shard
+    /// stack a multi-device scheduler composes.
     pub fn device_executor(
         &self,
         queue: Queue,
         policy: ResilientPolicy,
     ) -> Result<ResilientExecutor> {
-        let serving = Arc::new(CachedSelector::new(Arc::clone(&self.selector)));
-        self.device_executor_with(serving, queue, policy)
+        self.device_executor_with(self.fresh_cache(), queue, policy)
     }
 
     /// [`TuningPipeline::device_executor`] with a *capacity-bounded*,
@@ -399,9 +367,9 @@ impl TuningPipeline {
         self.device_executor_with(serving, queue, policy)
     }
 
-    /// Shared builder: wrap an existing per-device serving cache in a
-    /// resilient executor whose fallback chain is filtered by a fresh
-    /// analysis of `queue`'s device.
+    /// Shared builder: wrap a per-device decision cache in a resilient
+    /// executor whose fallback chain is filtered by a fresh analysis of
+    /// `queue`'s device.
     fn device_executor_with(
         &self,
         serving: Arc<CachedSelector>,
@@ -411,35 +379,31 @@ impl TuningPipeline {
         let analysis = KernelSpaceAnalyzer::new(queue.device().clone())
             .analyze()
             .map_err(CoreError::Sim)?;
-        let means = self.train_config_means();
-        let mut ranked = self.shipped.clone();
-        ranked.sort_by(|&a, &b| means[b].total_cmp(&means[a]));
         Ok(ResilientExecutor::with_static_analysis(
-            serving, queue, ranked, policy, &analysis,
+            serving,
+            queue,
+            self.fallback_ranking(),
+            policy,
+            &analysis,
         ))
     }
 
     /// [`TuningPipeline::device_executor`] with a per-device online
-    /// layer attached: the shard's bandit state, drift detector and
-    /// cache generation are all private to its device, so one device
-    /// drifting does not invalidate its siblings' decisions.
+    /// layer attached. The executor adopts the online layer's fresh
+    /// decision cache; the shard's bandit state, drift detector, cache
+    /// and telemetry are all private to its device, so one device
+    /// drifting leaves its siblings alone.
     pub fn device_adaptive_executor(
         &self,
         queue: Queue,
         policy: ResilientPolicy,
         config: OnlineConfig,
     ) -> Result<(ResilientExecutor, Arc<OnlineSelector>)> {
-        let serving = Arc::new(CachedSelector::new(Arc::clone(&self.selector)));
-        let executor = self.device_executor_with(Arc::clone(&serving), queue, policy)?;
-        let means = self.train_config_means();
-        let priors: Vec<f64> = serving
-            .selector()
-            .configs()
-            .iter()
-            .map(|&c| means.get(c).copied().unwrap_or(0.0))
-            .collect();
-        let online = Arc::new(OnlineSelector::new(serving, priors, config)?);
-        Ok((executor.with_online(Arc::clone(&online)), online))
+        let online = self.online_selector(config)?;
+        let executor = self
+            .device_executor(queue, policy)?
+            .with_online(Arc::clone(&online));
+        Ok((executor, online))
     }
 
     /// Static analysis of the full configuration space on the dataset's
@@ -453,11 +417,6 @@ impl TuningPipeline {
     /// `static_prune` enabled; `None` for pre-collected datasets.
     pub fn prune_stats(&self) -> Option<&StaticPruneStats> {
         self.prune_stats.as_ref()
-    }
-
-    /// Live serving telemetry (hits, misses, pick counts, latencies).
-    pub fn telemetry(&self) -> &SelectionTelemetry {
-        self.serving.telemetry()
     }
 
     /// Best geometric-mean performance *achievable* with the shipped set
@@ -503,8 +462,10 @@ impl TuningPipeline {
         (&self.train_rows, &self.test_rows)
     }
 
-    /// The trained selector.
-    pub fn selector(&self) -> &Selector {
+    /// The trained selector, shared by every stack the pipeline builds.
+    /// A caller that wants a bare memoised selector wraps it:
+    /// `CachedSelector::new(Arc::clone(pipeline.selector()))`.
+    pub fn selector(&self) -> &Arc<Selector> {
         &self.selector
     }
 
@@ -600,47 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_select_agrees_with_uncached_and_counts() {
-        let p = TuningPipeline::run(
-            &DeviceSpec::amd_r9_nano(),
-            &shapes(),
-            PipelineConfig::default(),
-        )
-        .unwrap();
-        let probes: Vec<GemmShape> = (1..=6).map(|i| GemmShape::new(i * 50, 200, 100)).collect();
-        for probe in &probes {
-            assert_eq!(
-                p.select(probe).unwrap(),
-                p.select_cached(probe).unwrap(),
-                "cache must be a pure memoisation"
-            );
-            // Warm now: repeat must hit.
-            p.select_cached(probe).unwrap();
-        }
-        let t = p.telemetry();
-        assert_eq!(t.misses(), probes.len() as u64);
-        assert_eq!(t.hits(), probes.len() as u64);
-        assert_eq!(t.total(), t.hits() + t.misses());
-    }
-
-    #[test]
-    fn pipeline_batch_returns_shipped_kernels() {
-        let p = TuningPipeline::run(
-            &DeviceSpec::amd_r9_nano(),
-            &shapes(),
-            PipelineConfig::default(),
-        )
-        .unwrap();
-        let probes: Vec<GemmShape> = (1..=10).map(|i| GemmShape::new(i * 31, 128, 512)).collect();
-        let chosen = p.select_batch(&probes).unwrap();
-        assert_eq!(chosen.len(), probes.len());
-        let shipped = p.shipped_kernel_configs();
-        for cfg in chosen {
-            assert!(shipped.contains(&cfg));
-        }
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let cfg = PipelineConfig::default();
         let a = TuningPipeline::run(&DeviceSpec::amd_r9_nano(), &shapes(), cfg.clone()).unwrap();
@@ -696,7 +616,7 @@ mod tests {
         let device = DeviceSpec::amd_r9_nano();
         let p = TuningPipeline::run(&device, &shapes(), PipelineConfig::default()).unwrap();
         let priors = p.analytical_priors(&device);
-        assert_eq!(priors.len(), p.serving().selector().configs().len());
+        assert_eq!(priors.len(), p.selector().configs().len());
         assert!(priors.iter().all(|&x| (0.0..=1.0).contains(&x)));
         assert!(
             priors.iter().any(|&x| x > 0.0),

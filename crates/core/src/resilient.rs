@@ -317,9 +317,20 @@ impl ResilientExecutor {
     /// Attach an [`OnlineSelector`]: primary picks now flow through its
     /// two-stage policy (bit-identical to the cached selector until its
     /// drift detector trips) and every launch outcome feeds its reward
-    /// estimates. Without this call the executor behaves exactly as in
-    /// the static stack.
+    /// estimates. The executor adopts the online layer's cached selector,
+    /// so decisions and launch outcomes count in one telemetry block;
+    /// fallback-chain pruning already counted in the executor's own
+    /// block moves with it. Without this call the executor behaves
+    /// exactly as in the static stack.
     pub fn with_online(mut self, online: Arc<OnlineSelector>) -> Self {
+        let cached = online.cached_arc();
+        if !Arc::ptr_eq(&self.selector, cached) {
+            let skipped = self.selector.telemetry().fallback_skipped_invalid();
+            for _ in 0..skipped {
+                cached.telemetry().record_fallback_skipped_invalid();
+            }
+            self.selector = Arc::clone(cached);
+        }
         self.online = Some(online);
         self
     }
@@ -379,7 +390,8 @@ impl ResilientExecutor {
         &self.ranking
     }
 
-    /// The wrapped cached selector (telemetry lives here).
+    /// The wrapped cached selector, which is the online layer's once one
+    /// is attached (telemetry lives here).
     pub fn selector(&self) -> &CachedSelector {
         &self.selector
     }
@@ -457,9 +469,7 @@ impl ResilientExecutor {
         for (a, b, c) in operands {
             let current = match batch.as_mut() {
                 Some(current) if self.still_holds(current) => {
-                    self.deciding_selector()
-                        .telemetry()
-                        .record_reused_hit(current.slot);
+                    self.selector.telemetry().record_reused_hit(current.slot);
                     current
                 }
                 _ => {
@@ -479,14 +489,6 @@ impl ResilientExecutor {
         Ok(())
     }
 
-    /// The selector whose telemetry a decision is counted in.
-    fn deciding_selector(&self) -> &CachedSelector {
-        match &self.online {
-            Some(online) => online.cached(),
-            None => &self.selector,
-        }
-    }
-
     /// Decide for `shape` through the online layer when one is
     /// attached, else through the cached selector. The selector
     /// generation is captured with the decision: any reward a launch
@@ -500,10 +502,7 @@ impl ResilientExecutor {
         Ok(BatchDecision {
             outcome,
             generation,
-            slot: self
-                .deciding_selector()
-                .telemetry()
-                .shipped_slot(outcome.config_index),
+            slot: self.selector.telemetry().shipped_slot(outcome.config_index),
             primary: None,
         })
     }

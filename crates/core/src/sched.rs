@@ -463,12 +463,14 @@ impl ShardedScheduler {
             .shards
             .iter()
             .map(|state| {
-                let serving = state.shard.executor.selector();
+                let executor = &state.shard.executor;
+                let (online, cache, telemetry) = crate::persist::capture(
+                    executor.selector(),
+                    executor.online().map(|online| online.as_ref()),
+                );
                 crate::persist::FleetShardState {
                     label: state.shard.label.clone(),
-                    device_crc: crate::persist::device_fingerprint(
-                        state.shard.executor.queue().device(),
-                    ),
+                    device_crc: crate::persist::device_fingerprint(executor.queue().device()),
                     alive: state.alive,
                     served: state.served,
                     batches: state.batches,
@@ -476,9 +478,9 @@ impl ShardedScheduler {
                     flops_done: state.flops_done,
                     elapsed_s: (state.shard.clock.now_s() - state.clock_origin).max(0.0),
                     condemned_seq: state.condemned_seq,
-                    online: state.shard.executor.online().map(|o| o.export_state()),
-                    cache: serving.cache().export_state(),
-                    telemetry: serving.telemetry().export_state(),
+                    online,
+                    cache,
+                    telemetry,
                 }
             })
             .collect();
@@ -490,7 +492,9 @@ impl ShardedScheduler {
 
     /// Apply a fleet snapshot to this scheduler. Shards match by label;
     /// every piece validates independently and a failure drops only
-    /// that piece, returning its `fleet.<label>.<piece>` name. A
+    /// that piece, returning its name after `fleet.<label>.` (the
+    /// stack pieces are named as [`crate::Snapshot::restore_stack`]
+    /// names them, e.g. `fleet.<label>.online:1-clusters`). A
     /// snapshot shard whose device fingerprint differs from the live
     /// shard's is skipped wholesale (its learned state describes other
     /// silicon). Cost-model restore rewinds `clock_origin` so the
@@ -530,26 +534,18 @@ impl ShardedScheduler {
             live.batches = saved.batches;
             live.reference_fallbacks = saved.reference_fallbacks;
             live.condemned_seq = saved.condemned_seq;
-            match (live.shard.executor.online(), &saved.online) {
-                (Some(online), Some(saved_online))
-                    if online.restore_state(saved_online).is_err() =>
-                {
-                    dropped.push(format!("fleet.{}.online", saved.label));
-                }
-                (Some(_), None) => dropped.push(format!("fleet.{}.online", saved.label)),
-                _ => {}
-            }
-            let serving = live.shard.executor.selector();
-            match serving
-                .cache()
-                .restore_state(&saved.cache, serving.selector().configs())
-            {
-                Ok(stats) if stats.entries_skipped == 0 && stats.bloom_restored => {}
-                _ => dropped.push(format!("fleet.{}.cache", saved.label)),
-            }
-            if serving.telemetry().restore_state(&saved.telemetry).is_err() {
-                dropped.push(format!("fleet.{}.telemetry", saved.label));
-            }
+            let executor = &live.shard.executor;
+            crate::persist::restore(
+                executor.selector(),
+                executor.online().map(|online| online.as_ref()),
+                (
+                    saved.online.as_ref(),
+                    Some(&saved.cache),
+                    Some(&saved.telemetry),
+                ),
+                &format!("fleet.{}.", saved.label),
+                &mut dropped,
+            );
         }
         self.condemn_counter = self.condemn_counter.max(state.condemn_counter);
         if self.shards.iter().all(|s| !s.alive) {

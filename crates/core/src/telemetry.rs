@@ -385,8 +385,8 @@ impl SelectionTelemetry {
         self.reward_updates.load(Ordering::Relaxed) // atomic:role(counter)
     }
 
-    /// Drift-detector trips (each re-ranks the bandit and bumps the
-    /// decision-cache generation).
+    /// Drift-detector trips (each re-ranks the bandit and opens a new
+    /// online generation).
     pub fn drift_events(&self) -> u64 {
         self.drift_events.load(Ordering::Relaxed) // atomic:role(counter)
     }

@@ -25,7 +25,6 @@
 
 pub mod device;
 pub mod fault;
-pub mod feedback;
 pub mod perf;
 pub mod resources;
 pub mod runtime;
@@ -33,7 +32,6 @@ pub mod trace;
 
 pub use device::{DeviceSpec, DeviceType};
 pub use fault::{FaultError, FaultKind, FaultPlan};
-pub use feedback::LaunchMeasurement;
 pub use perf::{KernelCost, KernelProfile};
 pub use resources::{check_launch, footprint, ResourceFootprint};
 pub use runtime::{

@@ -301,6 +301,10 @@ pub struct PreparedLaunch {
 /// one atomic, so reading it takes no lock.
 type ClockCell = Arc<AtomicU64>;
 
+/// Amplitude of the deterministic timing noise every queue applies to
+/// modelled durations: ±3 %.
+const NOISE_AMPLITUDE: f64 = 0.03;
+
 /// The current time on `clock`, in simulated seconds.
 fn read_clock(clock: &AtomicU64) -> f64 {
     f64::from_bits(clock.load(Ordering::Acquire)) // atomic:role(publish)
@@ -350,7 +354,6 @@ impl Context {
         Queue {
             device: self.device.clone(),
             clock_s: self.clock_s.clone(),
-            noise_amplitude: 0.03,
             execute_host: true,
             fault_plan: None,
         }
@@ -412,8 +415,6 @@ impl SimClock {
 pub struct Queue {
     device: Arc<DeviceSpec>,
     clock_s: ClockCell,
-    /// Noise amplitude applied to modelled durations (0 disables).
-    noise_amplitude: f64,
     /// When false, kernel bodies are skipped and only timing is modelled
     /// (used for large benchmark sweeps where results are not consumed).
     execute_host: bool,
@@ -437,12 +438,6 @@ impl Queue {
             execute_host: false,
             ..Queue::new(device)
         }
-    }
-
-    /// Override the deterministic-noise amplitude (default 2 %).
-    pub fn with_noise(mut self, amplitude: f64) -> Self {
-        self.noise_amplitude = amplitude.max(0.0);
-        self
     }
 
     /// Attach a fault plan: every subsequent submission is adjudicated
@@ -608,16 +603,12 @@ impl Queue {
         noise_seed: u64,
     ) -> (KernelCost, f64) {
         let cost = perf::estimate_cost(&self.device, profile, range);
-        let noise = if self.noise_amplitude > 0.0 {
-            let seed = noise_seed
-                .wrapping_mul(0x100_0000_01b3)
-                .wrapping_add(range.global_size() as u64)
-                .wrapping_add((range.local()[0] as u64) << 32)
-                .wrapping_add(fxhash(self.device.name.as_bytes()));
-            perf::deterministic_noise(seed, self.noise_amplitude)
-        } else {
-            1.0
-        };
+        let seed = noise_seed
+            .wrapping_mul(0x100_0000_01b3)
+            .wrapping_add(range.global_size() as u64)
+            .wrapping_add((range.local()[0] as u64) << 32)
+            .wrapping_add(fxhash(self.device.name.as_bytes()));
+        let noise = perf::deterministic_noise(seed, NOISE_AMPLITUDE);
         (cost, cost.total_s * noise)
     }
 

@@ -8,9 +8,10 @@
 //! performance profile (and launch limits) disagree with the training
 //! substrate: most shipped configurations cannot launch there at all.
 //! The Page–Hinkley drift detector trips within a few launches, the
-//! decision-cache generation is bumped, and the per-cluster UCB bandit
+//! online layer opens a new generation, and the per-cluster UCB bandit
 //! re-learns the best shipped configuration per shape from live
-//! completion times, recovering near-oracle throughput.
+//! completion times, recovering near-oracle throughput. Both executors
+//! count in the online layer's one telemetry block.
 //!
 //! Run with: `cargo run --release --example adaptive_serving`
 
@@ -120,14 +121,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.ph_statistic,
     );
 
-    // Phase 2 — the swap: same online layer, same serving cache, but
-    // the queue now belongs to an edge DSP. Shipped configurations the
-    // DSP rejects outright feed the drift detector as structural
-    // failures; completions arrive 10-100x slower than their baselines.
+    // Phase 2 — the swap: same online layer, and so the same serving
+    // cache and telemetry, but the queue now belongs to an edge DSP.
+    // Shipped configurations the DSP rejects outright feed the drift
+    // detector as structural failures; completions arrive 10-100x
+    // slower than their baselines.
     let edge_exec = pipeline
         .resilient_executor(Queue::timing_only(Arc::clone(&edge)), policy)
         .with_online(Arc::clone(&online));
-    let generation_before = pipeline.serving().cache().generation();
+    let generation_before = online.generation();
 
     // The post-swap shipped-set oracle, for scoring recovery.
     let probe = Queue::timing_only(Arc::clone(&edge));
@@ -181,15 +183,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let t = pipeline.telemetry();
+    let t = online.cached().telemetry();
     let stats = online.stats();
     println!(
         "\nonline layer after the swap: adaptive={}, {} shape-clusters, \
-         cache generation {} -> {}",
+         generation {} -> {}, {} decisions still cached",
         stats.adaptive,
         stats.clusters,
         generation_before,
-        pipeline.serving().cache().generation(),
+        online.generation(),
+        online.cached().cached_shapes(),
     );
     println!(
         "telemetry: {} drift events, {} adaptive picks, {} reward updates \
@@ -203,6 +206,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     assert!(online.is_adaptive(), "the swap must be detected as drift");
     assert!(t.drift_events() >= 1);
+    assert!(online.generation() > generation_before);
+    assert_eq!(
+        t.resilient_launches(),
+        ((NANO_EPOCHS + EDGE_EPOCHS) * working_set.len()) as u64,
+        "both executors count in the online layer's telemetry"
+    );
     println!("\nadaptive_serving OK");
     Ok(())
 }

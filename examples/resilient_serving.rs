@@ -112,7 +112,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let t = pipeline.telemetry();
+    let t = executor.selector().telemetry();
+    assert_eq!(t.resilient_launches(), completed as u64);
     println!("\nall {completed} launches completed. resilience telemetry:");
     println!(
         "  {} failures absorbed across {} launches ({} retries)",

@@ -5,7 +5,8 @@
 //! dispatch decision is a locked hash-map lookup instead of a model
 //! inference. This example:
 //!
-//! 1. trains the default pipeline,
+//! 1. trains the default pipeline and wraps its model in a
+//!    `CachedSelector`,
 //! 2. serves a recurring traffic mix from 8 threads through the cache,
 //! 3. prints the telemetry (hit rate, per-kernel pick counts, hit/miss
 //!    latency) and the measured cached-vs-uncached speedup,
@@ -14,10 +15,12 @@
 //!
 //! Run with: `cargo run --release --example serving_cache`
 
+use autokernel::core::cache::CachedSelector;
 use autokernel::core::{PipelineConfig, SelectorKind, TuningPipeline};
 use autokernel::gemm::{GemmShape, TiledGemmKernel};
 use autokernel::sim::trace::TraceRecorder;
 use autokernel::sim::{Buffer, DeviceType, Platform, Queue};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -60,6 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..PipelineConfig::default()
         },
     )?;
+    // The serving cache: a memo of the pipeline's model, with telemetry.
+    let serving = CachedSelector::new(Arc::clone(pipeline.selector()));
 
     // The recurring traffic mix an inference server would see: a small
     // working set of unseen shapes, requested over and over.
@@ -77,19 +82,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let served = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let pipeline = &pipeline;
+            let serving = &serving;
             let working_set = &working_set;
             scope.spawn(move || {
                 for i in 0..REQUESTS_PER_THREAD {
                     let shape = &working_set[(t + i) % working_set.len()];
-                    pipeline.select_cached(shape).expect("selection succeeds");
+                    serving.select(shape).expect("selection succeeds");
                 }
             });
         }
     });
     let served = served.elapsed();
 
-    let t = pipeline.telemetry();
+    let t = serving.telemetry();
     println!("served in {:.2} ms wall clock", served.as_secs_f64() * 1e3);
     println!(
         "telemetry: {} hits / {} misses (hit rate {:.1}%), counters reconcile: {}",
@@ -121,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let uncached = start.elapsed() / reps;
     let start = Instant::now();
     for _ in 0..reps {
-        pipeline.select_cached(&probe)?;
+        serving.select(&probe)?;
     }
     let cached = start.elapsed() / reps;
     println!(
@@ -136,7 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let queue = Queue::new(device);
     let mut trace = TraceRecorder::new();
     for shape in &working_set {
-        let outcome = pipeline.serving().select_outcome(shape)?;
+        let outcome = serving.select_outcome(shape)?;
         let config = autokernel::gemm::config::KernelConfig::from_index(outcome.config_index)
             .expect("valid index");
         let a = Buffer::from_vec(vec![1.0f32; shape.m * shape.k]);

@@ -22,12 +22,15 @@ fn paper_dataset() -> &'static PerformanceDataset {
     })
 }
 
-/// Each test trains its own pipeline (training is cheap next to
-/// collection) so telemetry assertions never observe another test's
-/// launches.
-fn pipeline_over(dataset: &PerformanceDataset) -> TuningPipeline {
-    TuningPipeline::from_dataset(dataset.clone(), PipelineConfig::default())
-        .expect("pipeline trains")
+/// The pipeline trained on the paper dataset, shared by the whole test
+/// binary: it holds no serving state, and every stack built from it
+/// counts in its own telemetry block.
+fn pipeline() -> &'static TuningPipeline {
+    static PIPELINE: OnceLock<TuningPipeline> = OnceLock::new();
+    PIPELINE.get_or_init(|| {
+        TuningPipeline::from_dataset(paper_dataset().clone(), PipelineConfig::default())
+            .expect("pipeline trains")
+    })
 }
 
 /// Simulated duration of `config_index` on `shape` for `queue`'s
@@ -58,7 +61,7 @@ fn zero_buffers(shape: GemmShape) -> (Buffer<f32>, Buffer<f32>, Buffer<f32>) {
 
 #[test]
 fn mirror_stage_is_bit_identical_over_the_paper_dataset() {
-    let pipeline = pipeline_over(paper_dataset());
+    let pipeline = pipeline();
     let online = pipeline
         .online_selector(OnlineConfig::default())
         .expect("online selector builds");
@@ -73,7 +76,7 @@ fn mirror_stage_is_bit_identical_over_the_paper_dataset() {
     }
 
     assert!(!online.is_adaptive(), "no drift was injected");
-    let t = pipeline.telemetry();
+    let t = online.cached().telemetry();
     assert_eq!(t.adaptive_picks(), 0);
     assert_eq!(t.drift_events(), 0);
     assert_eq!(
@@ -95,7 +98,7 @@ proptest! {
         perm_seed in 0u64..1000,
         base_us in 50.0f64..500.0,
     ) {
-        let pipeline = pipeline_over(paper_dataset());
+        let pipeline = pipeline();
         let online = pipeline
             .online_selector(OnlineConfig::default())
             .expect("online selector builds");
@@ -139,7 +142,7 @@ proptest! {
         );
         prop_assert!(!online.stats().adaptive || online.stats().ph_statistic < 25.0);
         prop_assert_eq!(
-            pipeline.telemetry().drift_events(), 1,
+            online.cached().telemetry().drift_events(), 1,
             "a stationary stream must not re-trip drift"
         );
     }
@@ -153,7 +156,7 @@ proptest! {
 /// device regime.
 #[test]
 fn stale_generation_reward_is_discarded_after_drift() {
-    let pipeline = pipeline_over(paper_dataset());
+    let pipeline = pipeline();
     let online = pipeline
         .online_selector(OnlineConfig::default())
         .expect("online selector builds");
@@ -182,12 +185,12 @@ fn stale_generation_reward_is_discarded_after_drift() {
     );
     assert_eq!(stats.ph_samples, 0, "the reset detector must stay empty");
     assert_eq!(
-        pipeline.telemetry().reward_updates(),
+        online.cached().telemetry().reward_updates(),
         0,
         "a discarded reward must not count as an update"
     );
     assert_eq!(
-        pipeline.telemetry().stale_rewards_dropped(),
+        online.cached().telemetry().stale_rewards_dropped(),
         2,
         "dropped rewards are counted, never silent"
     );
@@ -196,7 +199,7 @@ fn stale_generation_reward_is_discarded_after_drift() {
     let fresh_pick = online.select(&shape).expect("adaptive pick");
     online.record_success(&shape, fresh_pick, 123.0e-6, online.generation());
     assert_eq!(
-        pipeline.telemetry().reward_updates(),
+        online.cached().telemetry().reward_updates(),
         1,
         "a current-generation reward must be accepted"
     );
@@ -206,8 +209,8 @@ fn stale_generation_reward_is_discarded_after_drift() {
 /// The acceptance scenario: two epochs of nano serving (bit-identical
 /// to the static stack), then the queue is swapped for an edge DSP the
 /// offline model has never seen. Four of the six shipped configurations
-/// cannot launch there at all. The drift detector must trip, the cache
-/// generation must be invalidated, and the bandit must recover to
+/// cannot launch there at all. The drift detector must trip, the online
+/// layer must open a new generation, and the bandit must recover to
 /// ≥ 95 % of the post-swap shipped-set oracle — while a static pipeline
 /// serving the same stream keeps choosing unlaunchable kernels and
 /// stays below the adaptive geomean even with the resilient fallback
@@ -225,7 +228,7 @@ fn device_swap_drift_recovers_to_near_oracle_while_static_stays_below() {
     let nano = Arc::new(DeviceSpec::amd_r9_nano());
     let edge = Arc::new(DeviceSpec::edge_dsp());
 
-    let pipeline = pipeline_over(paper_dataset());
+    let pipeline = pipeline();
     let policy = ResilientPolicy::default();
     let (nano_exec, online) = pipeline
         .adaptive_executor(
@@ -235,16 +238,16 @@ fn device_swap_drift_recovers_to_near_oracle_while_static_stays_below() {
         )
         .expect("adaptive executor builds");
     // The device swap: a second executor on the edge queue sharing the
-    // same online layer (and the same serving cache + telemetry).
+    // same online layer (and so its serving cache and telemetry).
     let edge_exec = pipeline
         .resilient_executor(Queue::timing_only(Arc::clone(&edge)), policy.clone())
         .with_online(Arc::clone(&online));
 
-    // An independent static pipeline serving the identical post-swap
-    // stream, for the comparison baseline.
-    let static_pipeline = pipeline_over(paper_dataset());
+    // A static stack serving the identical post-swap stream, for the
+    // comparison baseline.
     let static_exec =
-        static_pipeline.resilient_executor(Queue::timing_only(Arc::clone(&edge)), policy.clone());
+        pipeline.resilient_executor(Queue::timing_only(Arc::clone(&edge)), policy.clone());
+    let telemetry = online.cached().telemetry();
 
     let buffers: Vec<_> = shapes.iter().map(|&s| zero_buffers(s)).collect();
 
@@ -269,9 +272,11 @@ fn device_swap_drift_recovers_to_near_oracle_while_static_stays_below() {
         !online.is_adaptive(),
         "two epochs on the training device must not read as drift"
     );
-    assert_eq!(pipeline.telemetry().drift_events(), 0);
-    assert_eq!(pipeline.telemetry().adaptive_picks(), 0);
-    let generation_before = pipeline.serving().cache().generation();
+    assert_eq!(telemetry.drift_events(), 0);
+    assert_eq!(telemetry.adaptive_picks(), 0);
+    let generation_before = online.generation();
+    let cached_before = online.cached().cached_shapes();
+    assert!(cached_before > 0, "mirror picks memoise their shapes");
 
     // Phase 2 — the swap. Serve the same stream from the edge queue.
     let mut final_epoch_durations: Vec<f64> = Vec::new();
@@ -291,7 +296,6 @@ fn device_swap_drift_recovers_to_near_oracle_while_static_stays_below() {
         }
     }
 
-    let telemetry = pipeline.telemetry();
     assert!(telemetry.drift_events() >= 1, "drift must be recorded");
     assert!(
         telemetry.adaptive_picks() > 0,
@@ -302,8 +306,13 @@ fn device_swap_drift_recovers_to_near_oracle_while_static_stays_below() {
         "launch outcomes must feed the reward estimates"
     );
     assert!(
-        pipeline.serving().cache().generation() > generation_before,
-        "drift must bump the decision-cache generation"
+        online.generation() > generation_before,
+        "drift must open a new online generation"
+    );
+    assert_eq!(
+        online.cached().cached_shapes(),
+        cached_before,
+        "drift leaves the decision cache's entries in place"
     );
 
     // The post-swap shipped-set oracle: best launchable shipped config
@@ -329,7 +338,7 @@ fn device_swap_drift_recovers_to_near_oracle_while_static_stays_below() {
             let report = static_exec.launch(*shape, a, b, c).expect("static launch");
             if epoch + 1 == EDGE_EPOCHS {
                 static_final.push(report.event.duration_s());
-                let pick = static_pipeline.select(shape).expect("static pick").index();
+                let pick = pipeline.select(shape).expect("static pick").index();
                 if priced(&probe, shape, pick).is_none() {
                     static_unlaunchable_picks += 1;
                 }
@@ -396,13 +405,13 @@ fn analytically_seeded_bandit_recovers_at_least_as_fast_as_offline_seeded() {
     let buffers: Vec<_> = shapes.iter().map(|&s| zero_buffers(s)).collect();
 
     // The post-swap shipped-set oracle is prior-independent (both
-    // pipelines are trained identically, so they ship the same set).
+    // stacks serve the one pipeline's shipped set).
     let probe = Queue::timing_only(Arc::clone(&edge));
 
     // Serve the identical nano → edge stream through one adaptive
     // stack, returning the per-edge-epoch oracle-relative geomeans.
     let serve = |analytical: bool| -> Vec<f64> {
-        let pipeline = pipeline_over(paper_dataset());
+        let pipeline = pipeline();
         let online = if analytical {
             pipeline
                 .analytical_online_selector(&edge_device, OnlineConfig::default())

@@ -53,8 +53,8 @@ fn dataset() -> &'static PerformanceDataset {
     })
 }
 
-/// Each test trains its own pipeline so telemetry and bandit state
-/// never leak between tests.
+/// A freshly trained pipeline. Crash tests drop the old stack, model
+/// included, and restart from nothing but the snapshot file.
 fn pipeline() -> TuningPipeline {
     TuningPipeline::from_dataset(dataset().clone(), PipelineConfig::default())
         .expect("pipeline trains")
@@ -232,14 +232,10 @@ fn crash_recovery_reaches_oracle_in_a_tenth_of_cold_launches() {
     let restored = Snapshot::load(&path).expect("snapshot loads");
     assert_eq!(restored.seq, 7);
     let fresh_pipe = pipeline();
-    let (warm_exec, warm_online, outcome) = fresh_pipe
-        .warm_adaptive_executor(
-            Queue::timing_only(Arc::clone(&gpu)),
-            policy.clone(),
-            learn,
-            &restored,
-        )
-        .expect("warm executor builds");
+    let (warm_exec, warm_online) = fresh_pipe
+        .adaptive_executor(Queue::timing_only(Arc::clone(&gpu)), policy.clone(), learn)
+        .expect("adaptive executor builds");
+    let outcome = restored.restore_stack(&warm_online, &gpu);
     assert_eq!(outcome, RestoreOutcome::Full, "every section must apply");
     assert!(
         warm_online.is_adaptive(),
@@ -250,7 +246,7 @@ fn crash_recovery_reaches_oracle_in_a_tenth_of_cold_launches() {
         "the drift generation survives the restart"
     );
     assert!(
-        fresh_pipe.telemetry().drift_events() >= 1,
+        warm_exec.selector().telemetry().drift_events() >= 1,
         "restart-spanning telemetry stays cumulative"
     );
 
@@ -281,6 +277,116 @@ fn adaptive_shard(pipe: &TuningPipeline, label: &str) -> DeviceShard {
         .device_adaptive_executor(queue, ResilientPolicy::default(), OnlineConfig::default())
         .expect("adaptive shard builds");
     DeviceShard::new(label, exec)
+}
+
+/// A fleet snapshot whose shard carries one malformed bandit cluster
+/// restores `Partial`, naming the dropped cluster as a stack restore
+/// names it, under the shard's label — never silently `Full`.
+#[test]
+fn fleet_restore_names_a_dropped_bandit_cluster() {
+    let nano = DeviceSpec::amd_r9_nano();
+    let pipe = pipeline();
+    let (exec, online) = pipe
+        .device_adaptive_executor(
+            Queue::timing_only(Arc::new(nano.clone())),
+            ResilientPolicy::default(),
+            OnlineConfig::default(),
+        )
+        .expect("adaptive shard builds");
+    online.force_drift();
+    let mut sched =
+        ShardedScheduler::new(vec![DeviceShard::new("nano", exec)], SchedConfig::default())
+            .expect("scheduler builds");
+    let requests: Vec<GemmRequest> = dataset()
+        .shapes
+        .iter()
+        .take(6)
+        .map(|&shape| GemmRequest::zeroed(shape))
+        .collect();
+    sched.serve(&requests).expect("the fleet serves");
+
+    let mut fleet = sched.export_state();
+    let arm = fleet.shards[0]
+        .online
+        .as_mut()
+        .and_then(|state| state.clusters.first_mut())
+        .and_then(|cluster| cluster.arms.first_mut())
+        .expect("adaptive serving grew a bandit cluster");
+    arm.completions = arm.pulls + 1;
+    let mut snapshot = Snapshot::new(&nano);
+    snapshot.fleet = Some(fleet);
+
+    let mut fresh =
+        ShardedScheduler::new(vec![adaptive_shard(&pipe, "nano")], SchedConfig::default())
+            .expect("scheduler builds");
+    assert_eq!(
+        snapshot.restore_fleet(&mut fresh, &nano),
+        RestoreOutcome::Partial {
+            dropped: vec!["fleet.nano.online:1-clusters".to_string()]
+        }
+    );
+}
+
+/// A snapshot written while the decision cache still kept a generation
+/// restores whole: the cache section's extra `generation` field is
+/// ignored, so the format needs no new version.
+#[test]
+fn cache_section_with_a_generation_field_restores_full() {
+    let nano = DeviceSpec::amd_r9_nano();
+    let pipe = pipeline();
+    let (exec, online) = pipe
+        .adaptive_executor(
+            Queue::timing_only(Arc::new(nano.clone())),
+            ResilientPolicy::default(),
+            OnlineConfig::default(),
+        )
+        .expect("adaptive executor builds");
+    for &shape in dataset().shapes.iter().take(6) {
+        let (a, b, c) = zero_buffers(shape);
+        exec.launch(shape, &a, &b, &c).expect("launch");
+    }
+    let snapshot = Snapshot::new(&nano).capture_stack(&online);
+
+    // Rewrite the cache section as the older format encoded it, with a
+    // CRC over the older body.
+    let section = |body: &str| {
+        serde_json::to_string(&serde_json::Value::Object(vec![
+            (
+                "name".to_string(),
+                serde_json::Value::Str("cache".to_string()),
+            ),
+            (
+                "crc".to_string(),
+                serde_json::Value::Num(persist::crc32(body.as_bytes()) as f64),
+            ),
+            ("body".to_string(), serde_json::Value::Str(body.to_string())),
+        ]))
+        .expect("encodes")
+    };
+    let body = serde_json::to_string(snapshot.cache.as_ref().expect("captured")).expect("encodes");
+    assert!(!body.contains("generation"));
+    let older_body = body.replacen('{', "{\"generation\":3,", 1);
+    let json = snapshot.to_json().expect("encodes");
+    let older = json.replacen(&section(&body), &section(&older_body), 1);
+    assert_ne!(older, json, "the cache section must have been rewritten");
+
+    let loaded = Snapshot::from_json(&older).expect("loads");
+    assert!(loaded.dropped.is_empty(), "{:?}", loaded.dropped);
+    let (_, fresh_online) = pipeline()
+        .adaptive_executor(
+            Queue::timing_only(Arc::new(nano.clone())),
+            ResilientPolicy::default(),
+            OnlineConfig::default(),
+        )
+        .expect("adaptive executor builds");
+    assert_eq!(
+        loaded.restore_stack(&fresh_online, &nano),
+        RestoreOutcome::Full
+    );
+    assert_eq!(
+        fresh_online.cached().cached_shapes(),
+        online.cached().cached_shapes()
+    );
 }
 
 /// Ingress accounting across a restart: phase 1 serves through a
@@ -513,7 +619,6 @@ fn synthetic_snapshot() -> Snapshot {
         }],
     });
     snapshot.cache = Some(CacheState {
-        generation: 2,
         shards: vec![CacheShardState {
             tick: 41,
             entries: vec![CacheEntryState {
@@ -675,14 +780,14 @@ fn snapshot_while_serving_stays_consistent_across_8_threads() {
     // The final concurrent capture restores cleanly into a fresh stack.
     let snapshot = Snapshot::new(&nano).capture_stack(&online);
     let fresh = pipeline();
-    let (_, fresh_online, outcome) = fresh
-        .warm_adaptive_executor(
+    let (_, fresh_online) = fresh
+        .adaptive_executor(
             Queue::timing_only(Arc::clone(&nano)),
             ResilientPolicy::default(),
             OnlineConfig::default(),
-            &snapshot,
         )
-        .expect("warm executor builds");
+        .expect("adaptive executor builds");
+    let outcome = snapshot.restore_stack(&fresh_online, &nano);
     assert_eq!(outcome, RestoreOutcome::Full);
     assert_eq!(fresh_online.stats().clusters, online.stats().clusters);
 }
@@ -724,14 +829,14 @@ fn transplant_seeds_a_fresh_device_from_the_nearest_donor() {
     let transplanted = donor.transplant(&gpu);
     assert_eq!(transplanted.device_crc, persist::device_fingerprint(&gpu));
     let fresh = pipeline();
-    let (gpu_exec, gpu_online, outcome) = fresh
-        .warm_adaptive_executor(
-            Queue::timing_only(Arc::new(gpu)),
+    let (gpu_exec, gpu_online) = fresh
+        .adaptive_executor(
+            Queue::timing_only(Arc::new(gpu.clone())),
             ResilientPolicy::default(),
             OnlineConfig::default(),
-            &transplanted,
         )
         .expect("gpu executor builds");
+    let outcome = transplanted.restore_stack(&gpu_online, &gpu);
     assert!(
         outcome.is_warm(),
         "transplant must restore warm: {outcome:?}"

@@ -5,7 +5,7 @@
 //! the zero-fault path with plain submission, and batched launches
 //! against the same requests launched one by one.
 
-use autokernel::core::cache::BoundedCacheConfig;
+use autokernel::core::cache::{BoundedCacheConfig, CachedSelector};
 use autokernel::core::resilient::{
     BreakerState, CircuitBreaker, LaunchReport, ResilientExecutor, ResilientPolicy,
 };
@@ -57,12 +57,22 @@ fn small_dataset() -> &'static PerformanceDataset {
     })
 }
 
-/// Each test builds its own pipeline (training is cheap next to
-/// collection) so telemetry assertions never observe another test's
-/// launches.
-fn pipeline_over(dataset: &PerformanceDataset) -> TuningPipeline {
+fn train(dataset: &PerformanceDataset) -> TuningPipeline {
     TuningPipeline::from_dataset(dataset.clone(), PipelineConfig::default())
         .expect("pipeline trains")
+}
+
+/// The pipelines, trained once for the whole test binary. A pipeline
+/// holds no serving state: every executor built from it gets its own
+/// cache, telemetry and breakers.
+fn small_pipeline() -> &'static TuningPipeline {
+    static PIPELINE: OnceLock<TuningPipeline> = OnceLock::new();
+    PIPELINE.get_or_init(|| train(small_dataset()))
+}
+
+fn paper_pipeline() -> &'static TuningPipeline {
+    static PIPELINE: OnceLock<TuningPipeline> = OnceLock::new();
+    PIPELINE.get_or_init(|| train(paper_dataset()))
 }
 
 /// One request's `A`, `B` and `C`.
@@ -131,7 +141,7 @@ fn eight_threads_of_faulty_traffic_all_complete_with_correct_results() {
     const THREADS: usize = 8;
     const LAUNCHES_PER_THREAD: usize = 6;
 
-    let pipeline = pipeline_over(small_dataset());
+    let pipeline = small_pipeline();
     let device = Arc::new(DeviceSpec::amd_r9_nano());
     let plan = Arc::new(FaultPlan::new(97).with_transient_rate(0.30));
     let queue = Context::new(device).create_queue().with_fault_plan(plan);
@@ -165,7 +175,7 @@ fn eight_threads_of_faulty_traffic_all_complete_with_correct_results() {
         }
     });
 
-    let telemetry = pipeline.telemetry();
+    let telemetry = executor.selector().telemetry();
     let total = (THREADS * LAUNCHES_PER_THREAD) as u64;
     assert_eq!(telemetry.resilient_launches(), total);
     assert!(
@@ -177,7 +187,7 @@ fn eight_threads_of_faulty_traffic_all_complete_with_correct_results() {
 
 #[test]
 fn paper_dataset_run_survives_faults_and_quarantines_the_bad_config() {
-    let pipeline = pipeline_over(paper_dataset());
+    let pipeline = paper_pipeline();
 
     // Find the configuration the selector leans on hardest: dooming it
     // guarantees primary-path failures.
@@ -225,7 +235,7 @@ fn paper_dataset_run_survives_faults_and_quarantines_the_bad_config() {
     }
 
     // Every launch completed; the doomed config is quarantined.
-    let telemetry = pipeline.telemetry();
+    let telemetry = executor.selector().telemetry();
     assert_eq!(telemetry.resilient_launches(), shapes.len() as u64);
     assert!(telemetry.retries() > 0, "transient faults must be retried");
     assert!(
@@ -260,7 +270,7 @@ fn paper_dataset_run_survives_faults_and_quarantines_the_bad_config() {
 
 #[test]
 fn zero_fault_plan_is_bit_identical_to_plain_submission() {
-    let pipeline = pipeline_over(small_dataset());
+    let pipeline = small_pipeline();
     let device = Arc::new(DeviceSpec::amd_r9_nano());
     let shapes: Vec<GemmShape> = (0..8)
         .map(|i| GemmShape::new(16 + i * 9, 12 + i * 5, 14 + i * 7))
@@ -310,7 +320,7 @@ fn zero_fault_plan_is_bit_identical_to_plain_submission() {
 /// with the product `reference_gemm` computes: nothing, or zeros.
 #[test]
 fn zero_width_shapes_complete_with_the_reference_product() {
-    let pipeline = pipeline_over(small_dataset());
+    let pipeline = small_pipeline();
     let queue = Queue::new(Arc::new(DeviceSpec::amd_r9_nano()));
     let executor = pipeline.resilient_executor(queue, ResilientPolicy::default());
     for (m, k, n) in [(4, 4, 0), (0, 4, 4), (4, 0, 4)] {
@@ -325,6 +335,64 @@ fn zero_width_shapes_complete_with_the_reference_product() {
         reference_gemm(shape, &a.to_vec(), &b.to_vec(), &mut expect);
         assert_eq!(c.to_vec(), expect, "{shape}");
     }
+}
+
+/// An attached online layer owns every counter: an executor built over
+/// a cache of its own adopts the online layer's cache on `with_online`,
+/// so each launch's decision and its outcome land in one telemetry
+/// block and the executor's first cache counts nothing.
+#[test]
+fn an_attached_online_layer_owns_every_counter() {
+    const LAUNCHES: usize = 12;
+    let pipeline = small_pipeline();
+    let own = Arc::new(CachedSelector::new(Arc::clone(pipeline.selector())));
+    let online = pipeline
+        .online_selector(OnlineConfig::default())
+        .expect("online layer builds");
+    let executor = ResilientExecutor::new(
+        Arc::clone(&own),
+        Queue::timing_only(Arc::new(DeviceSpec::amd_r9_nano())),
+        pipeline.shipped_configs().to_vec(),
+        ResilientPolicy::default(),
+    )
+    .with_online(Arc::clone(&online));
+    for i in 0..LAUNCHES {
+        let (a, b, c) = &diff_operands()[i % DIFF_POOL.len()];
+        executor
+            .launch(diff_shape(i), a, b, c)
+            .expect("launch completes");
+    }
+    assert!(std::ptr::eq(executor.selector(), online.cached()));
+    let telemetry = online.cached().telemetry();
+    assert_eq!(telemetry.resilient_launches(), LAUNCHES as u64);
+    assert_eq!(
+        telemetry.total(),
+        LAUNCHES as u64,
+        "one decision per launch"
+    );
+    assert_eq!(own.telemetry().resilient_launches(), 0);
+    assert_eq!(own.telemetry().total(), 0);
+}
+
+/// The fallback-chain pruning an executor counted at construction moves
+/// with it when it adopts an online layer's cache.
+#[test]
+fn with_online_carries_the_chain_pruning_count() {
+    let pipeline = small_pipeline();
+    let edge = Queue::timing_only(Arc::new(DeviceSpec::edge_dsp()));
+    let executor = pipeline
+        .device_executor(edge, ResilientPolicy::default())
+        .expect("executor builds");
+    let pruned = executor.selector().telemetry().fallback_skipped_invalid();
+    assert!(pruned > 0, "the edge DSP rejects part of the shipped set");
+    let online = pipeline
+        .online_selector(OnlineConfig::default())
+        .expect("online layer builds");
+    let _executor = executor.with_online(Arc::clone(&online));
+    assert_eq!(
+        online.cached().telemetry().fallback_skipped_invalid(),
+        pruned
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -346,13 +414,6 @@ const DIFF_POOL: [(usize, usize, usize); 8] = [
 fn diff_shape(index: usize) -> GemmShape {
     let (m, k, n) = DIFF_POOL[index % DIFF_POOL.len()];
     GemmShape::new(m, k, n)
-}
-
-/// One shared pipeline for the differential tests: every replica gets
-/// its own cache, telemetry and breakers from `device_executor`.
-fn diff_pipeline() -> &'static TuningPipeline {
-    static PIPELINE: OnceLock<TuningPipeline> = OnceLock::new();
-    PIPELINE.get_or_init(|| pipeline_over(small_dataset()))
 }
 
 /// Zeroed operands per pool shape. The replays run on timing-only
@@ -378,7 +439,7 @@ fn diff_operands() -> &'static [Operands] {
 fn most_picked_config() -> String {
     let mut counts = std::collections::HashMap::new();
     for i in 0..DIFF_POOL.len() {
-        let config = diff_pipeline().select(&diff_shape(i)).expect("selects");
+        let config = small_pipeline().select(&diff_shape(i)).expect("selects");
         *counts.entry(config.to_string()).or_insert(0usize) += 1;
     }
     let (config, _) = counts
@@ -540,9 +601,9 @@ proptest! {
                 ..BoundedCacheConfig::default()
             };
             if bounded {
-                diff_pipeline().device_bounded_executor(queue, policy, cache)
+                small_pipeline().device_bounded_executor(queue, policy, cache)
             } else {
-                diff_pipeline().device_executor(queue, policy)
+                small_pipeline().device_executor(queue, policy)
             }
             .expect("executor builds")
         };
@@ -570,7 +631,7 @@ fn batched_launches_match_per_request_launches_across_a_drift_trip() {
         ..OnlineConfig::default()
     };
     let build = |seed: u64| -> (ResilientExecutor, Arc<OnlineSelector>) {
-        diff_pipeline()
+        small_pipeline()
             .device_adaptive_executor(faulty_queue(seed, 4), ResilientPolicy::default(), config)
             .expect("executor builds")
     };
