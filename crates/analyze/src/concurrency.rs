@@ -1,7 +1,7 @@
 //! Static concurrency audit: atomic-ordering roles and lock ordering.
 //!
-//! The serving stack is deeply concurrent — lock-free LRU/Bloom
-//! decision caches, lock-free latency histograms, an ingress occupancy
+//! The serving stack is concurrent — locked decision caches and
+//! telemetry records, a lock-free device clock, an ingress occupancy
 //! counter, snapshot-while-serving — and `analyze::lint`
 //! only proves panic-freedom. This module makes the *memory-ordering
 //! contracts* mechanical, in the same comment-stripping token-scanner

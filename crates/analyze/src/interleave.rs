@@ -6,7 +6,6 @@
 //! exhaustively exploring thread interleavings of small-bound models of
 //! the hand-rolled primitives:
 //!
-//! - `LatencyHistogram::record`'s bucket-then-count publication,
 //! - the `OnlineSelector` drift flip (generation bump published before
 //!   the adaptive flag), and
 //! - the ingress `submitted == served + shed` accounting identity with
@@ -42,8 +41,8 @@
 //! **What the bounds prove.** Exhaustive at 2–4 threads and one or two
 //! operations per thread: enough to exhibit every two-party ordering
 //! bug seeded in the mutation suite (weakened `Release`, reordered
-//! publication, torn read-modify-write, late occupancy reservation,
-//! leaked tenant slot, a chunk released once per tenant), and small
+//! publication, late occupancy reservation, leaked tenant slot,
+//! double-counted shed, a chunk released once per tenant), and small
 //! enough to finish in well under a second. They are *not* a proof for
 //! unbounded thread counts.
 //!
@@ -360,8 +359,6 @@ impl WeakMemory {
 /// The modelled subsystems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Model {
-    /// LatencyHistogram bucket-then-count publication.
-    Histogram,
     /// OnlineSelector drift flip: generation bump before adaptive flag.
     Drift,
     /// Ingress `submitted == served + shed` with tenant hold/release,
@@ -371,12 +368,11 @@ pub enum Model {
 
 impl Model {
     /// All models, in reporting order.
-    pub const ALL: [Model; 3] = [Model::Histogram, Model::Drift, Model::Ingress];
+    pub const ALL: [Model; 2] = [Model::Drift, Model::Ingress];
 
     /// Stable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
-            Model::Histogram => "latency-histogram",
             Model::Drift => "drift-publication",
             Model::Ingress => "ingress-accounting",
         }
@@ -387,11 +383,6 @@ impl Model {
 /// variant of one model, mirroring a real class of concurrency bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// `count` increment relaxed instead of release: a reader can
-    /// observe the new count with a stale bucket.
-    HistogramRelaxedCount,
-    /// `count` increment as separate load + store: lost update.
-    HistogramTornCount,
     /// Adaptive flag stored relaxed instead of release: readers see the
     /// flag without the generation bump it publishes.
     DriftRelaxedFlagStore,
@@ -414,9 +405,7 @@ pub enum Mutation {
 
 impl Mutation {
     /// All mutations, in reporting order.
-    pub const ALL: [Mutation; 8] = [
-        Mutation::HistogramRelaxedCount,
-        Mutation::HistogramTornCount,
+    pub const ALL: [Mutation; 6] = [
         Mutation::DriftRelaxedFlagStore,
         Mutation::DriftFlipBeforeBump,
         Mutation::IngressLeakTenantOnShed,
@@ -428,7 +417,6 @@ impl Mutation {
     /// The model this mutation breaks.
     pub fn model(&self) -> Model {
         match self {
-            Mutation::HistogramRelaxedCount | Mutation::HistogramTornCount => Model::Histogram,
             Mutation::DriftRelaxedFlagStore | Mutation::DriftFlipBeforeBump => Model::Drift,
             Mutation::IngressLeakTenantOnShed
             | Mutation::IngressDoubleCountShed
@@ -440,8 +428,6 @@ impl Mutation {
     /// Stable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
-            Mutation::HistogramRelaxedCount => "relaxed-count-publish",
-            Mutation::HistogramTornCount => "torn-count-increment",
             Mutation::DriftRelaxedFlagStore => "relaxed-flag-store",
             Mutation::DriftFlipBeforeBump => "flip-before-bump",
             Mutation::IngressLeakTenantOnShed => "leak-tenant-on-shed",
@@ -457,7 +443,6 @@ pub fn check(model: Model, mutation: Option<Mutation>) -> Result<Exploration, Co
     debug_assert!(mutation.is_none_or(|m| m.model() == model));
     let explorer = Explorer::default();
     match model {
-        Model::Histogram => explorer.explore(|t| run_histogram(t, mutation)),
         Model::Drift => explorer.explore(|t| run_drift(t, mutation)),
         Model::Ingress => explorer.explore(|t| run_ingress(t, mutation)),
     }
@@ -507,97 +492,6 @@ pub fn self_check() -> Vec<ModelCheckRow> {
         rows.push(row);
     }
     rows
-}
-
-// -------------------------- histogram model --------------------------
-
-const H_BUCKET: usize = 0;
-const H_COUNT: usize = 1;
-
-/// Two recorders (`bucket.fetch_add(Relaxed)` then
-/// `count.fetch_add(Release)`) and one reader (`count.load(Acquire)`
-/// then `bucket.load(Relaxed)`), under the weak memory model. The
-/// quantile walk's soundness reduces to: a reader must never observe
-/// more counted records than bucketed ones.
-struct HistState {
-    mem: WeakMemory,
-    staged: [Option<u64>; 2],
-    pc: [usize; 3],
-    reader_count: u64,
-}
-
-fn run_histogram(trace: &mut Trace, mutation: Option<Mutation>) -> Result<(), String> {
-    let relaxed_count = matches!(mutation, Some(Mutation::HistogramRelaxedCount));
-    let torn_count = matches!(mutation, Some(Mutation::HistogramTornCount));
-    let mut st = HistState {
-        mem: WeakMemory::new(2, 3),
-        staged: [None; 2],
-        pc: [0; 3],
-        reader_count: 0,
-    };
-    let done = [3usize, 3, 2];
-    drive(
-        trace,
-        &mut st,
-        3,
-        |s, t| s.pc[t] == done[t],
-        |_, _| true,
-        |s, t, trace| {
-            if t < 2 {
-                match s.pc[t] {
-                    0 => {
-                        s.mem.rmw(t, H_BUCKET, |v| v + 1, Ord::Relaxed);
-                        s.pc[t] = 1;
-                    }
-                    1 => {
-                        if torn_count {
-                            s.staged[t] = Some(s.mem.load(trace, t, H_COUNT, Ord::Relaxed));
-                            s.pc[t] = 2;
-                        } else {
-                            let ord = if relaxed_count {
-                                Ord::Relaxed
-                            } else {
-                                Ord::Release
-                            };
-                            s.mem.rmw(t, H_COUNT, |v| v + 1, ord);
-                            s.pc[t] = 3;
-                        }
-                    }
-                    _ => {
-                        s.mem
-                            .store(t, H_COUNT, s.staged[t].unwrap_or(0) + 1, Ord::Relaxed);
-                        s.pc[t] = 3;
-                    }
-                }
-            } else {
-                match s.pc[t] {
-                    0 => {
-                        s.reader_count = s.mem.load(trace, t, H_COUNT, Ord::Acquire);
-                        s.pc[t] = 1;
-                    }
-                    _ => {
-                        let bucketed = s.mem.load(trace, t, H_BUCKET, Ord::Relaxed);
-                        if bucketed < s.reader_count {
-                            return Err(format!(
-                                "stale bucket behind published count: count {} but only {} bucketed \
-                                 (quantile would fall off the cumulative walk)",
-                                s.reader_count, bucketed
-                            ));
-                        }
-                        s.pc[t] = 2;
-                    }
-                }
-            }
-            Ok(())
-        },
-    )?;
-    let (b, c) = (st.mem.latest(H_BUCKET), st.mem.latest(H_COUNT));
-    if b != 2 || c != 2 {
-        return Err(format!(
-            "conservation broken after join: {b} bucketed, {c} counted, 2 recorded"
-        ));
-    }
-    Ok(())
 }
 
 // ---------------------------- drift model ----------------------------

@@ -23,9 +23,9 @@
 //!    per-function lock-order extraction with cycle detection, and a
 //!    loom-lite deterministic interleaving model checker that
 //!    exhaustively explores small-bound models of the hand-rolled
-//!    concurrent primitives (channel shim, LRU+Bloom cache, latency
-//!    histogram, drift publication, ingress accounting), with seeded
-//!    mutations proving the checker catches real ordering bugs.
+//!    concurrent protocols (drift publication, ingress accounting),
+//!    with seeded mutations proving the checker catches real ordering
+//!    bugs.
 //!    Findings render as SARIF (`reports/concurrency_audit.json`).
 //!
 //! The motivating observation (tritonBLAS, arXiv:2512.04226; Lawson,

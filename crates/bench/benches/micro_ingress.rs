@@ -106,7 +106,7 @@ fn fleet(pipeline: &TuningPipeline) -> Vec<DeviceShard> {
 fn bench_ingress(c: &mut Criterion) {
     // Hot-path primitives first: these run once per request on the
     // serving path, so their host cost is worth tracking on its own.
-    let histogram = LatencyHistogram::new();
+    let mut histogram = LatencyHistogram::new();
     let cache = DecisionCache::bounded(BoundedCacheConfig {
         capacity: CACHE_CAPACITY,
         admit_threshold: 1,
@@ -128,7 +128,7 @@ fn bench_ingress(c: &mut Criterion) {
     });
     group.finish();
 
-    let time_ns = |f: &dyn Fn()| {
+    let time_ns = |f: &mut dyn FnMut()| {
         let reps = 100_000u32;
         let start = Instant::now();
         for _ in 0..reps {
@@ -136,10 +136,10 @@ fn bench_ingress(c: &mut Criterion) {
         }
         start.elapsed().as_nanos() as f64 / reps as f64
     };
-    let histogram_record_ns = time_ns(&|| {
+    let histogram_record_ns = time_ns(&mut || {
         histogram.record(black_box(4096));
     });
-    let cache_hit_ns = time_ns(&|| {
+    let cache_hit_ns = time_ns(&mut || {
         black_box(cache.get(black_box(&probe)));
     });
 

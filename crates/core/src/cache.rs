@@ -12,11 +12,11 @@
 //!   ingress dispatcher makes every serving decision, so the lock is
 //!   uncontended there; it stays so the selector can still be shared by
 //!   `Arc` between an executor and its online layer;
-//! * every decision updates a lock-free [`SelectionTelemetry`] block —
-//!   hit/miss counters, per-shipped-configuration pick counts and
-//!   latency accumulators — cheap enough to leave on in production and
-//!   exactly what you need to see whether the shipped set still matches
-//!   the traffic mix.
+//! * every decision updates a [`SelectionTelemetry`] record — hit/miss
+//!   counters, per-shipped-configuration pick counts and latency
+//!   buckets — in one short critical section, cheap enough to leave on
+//!   in production and exactly what you need to see whether the
+//!   shipped set still matches the traffic mix.
 
 use crate::persist::{BloomState, CacheEntryState, CacheRestoreStats, CacheShardState, CacheState};
 use crate::select::Selector;
@@ -279,9 +279,9 @@ impl Table {
 ///   `tests/ingress_serving.rs` pins.
 ///
 /// Every entry is the trained model's answer for its shape, and the
-/// model never changes while serving, so nothing invalidates entries
-/// but [`DecisionCache::clear`] (after retraining). A drift trip leaves
-/// the table alone: the online layer's adaptive stage never reads it.
+/// model never changes while serving, so nothing invalidates entries;
+/// a retrained model gets a fresh cache. A drift trip leaves the table
+/// alone: the online layer's adaptive stage never reads it.
 #[derive(Debug, Default)]
 pub struct DecisionCache {
     table: Mutex<Table>,
@@ -367,11 +367,6 @@ impl DecisionCache {
     /// Whether no decision is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every cached decision (e.g. after retraining the selector).
-    pub fn clear(&self) {
-        self.table.lock().drop_entries();
     }
 
     /// The total entry capacity, or `None` in unbounded mode.
@@ -675,11 +670,14 @@ pub(crate) mod tests {
                 "{shape:?}"
             );
         }
-        let (s, d) = (by_select.telemetry(), by_decide.telemetry());
-        assert!(s.hits() > 0 && by_select.cache().evictions() > 0);
+        let (s, d) = (
+            by_select.telemetry().export_state(),
+            by_decide.telemetry().export_state(),
+        );
+        assert!(s.hits > 0 && by_select.cache().evictions() > 0);
         assert!(by_select.cache().admission_rejects() > 0);
-        assert_eq!((d.hits(), d.misses()), (s.hits(), s.misses()));
-        assert_eq!(d.picks(), s.picks());
+        assert_eq!((d.hits, d.misses), (s.hits, s.misses));
+        assert_eq!(d.picks, s.picks);
         assert_eq!(by_decide.cache().evictions(), by_select.cache().evictions());
         assert_eq!(
             by_decide.cache().admission_rejects(),
@@ -699,12 +697,10 @@ pub(crate) mod tests {
             cached.select(shape).unwrap();
             cached.select(shape).unwrap();
         }
-        let t = cached.telemetry();
-        assert_eq!(t.misses(), 5);
-        assert_eq!(t.hits(), 10);
-        assert_eq!(t.total(), 15);
-        assert!((t.hit_rate() - 10.0 / 15.0).abs() < 1e-12);
-        let picked: u64 = t.picks().iter().map(|&(_, n)| n).sum();
+        let t = cached.telemetry().snapshot();
+        assert_eq!(t.misses, 5);
+        assert_eq!(t.hits, 10);
+        let picked: u64 = t.picks.iter().map(|p| p.count).sum();
         assert_eq!(picked, 15, "every selection lands in a shipped slot");
         assert_eq!(cached.cached_shapes(), 5);
     }
@@ -730,8 +726,7 @@ pub(crate) mod tests {
         assert_eq!(cache.insert(s, 43), Some(42));
         assert_eq!(cache.get(&s), Some(43));
         assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
+        assert!(!cache.is_empty());
     }
 
     /// A snapshot written by a sharded cache, whose per-shard ticks

@@ -32,8 +32,10 @@
 //!   [`IngressReport::accounted`] checks the invariant
 //!   `submitted == served + shed`.
 //! * **Tail-latency telemetry** — per-class end-to-end latency
-//!   (submit to chunk completion, wall clock) lands in lock-free
-//!   [`LatencyHistogram`]s; the report carries p50/p99 per class.
+//!   (submit to chunk completion, wall clock) lands in
+//!   [`LatencyHistogram`]s that the dispatcher settles once per chunk,
+//!   under the same lock as the served counts; the report carries
+//!   p50/p99 per class.
 //!
 //! Pair the scheduler's shards with
 //! [`crate::TuningPipeline::device_bounded_executor`] so the decision
@@ -222,19 +224,30 @@ struct Envelope {
     submitted: Instant,
 }
 
+/// What only the dispatcher writes: completions, their latencies and
+/// the snapshotter's write counts. Settled under one lock once per
+/// chunk (and once per snapshot write), so a live report sees the
+/// served counts and their per-class split agree.
+#[derive(Debug, Clone, Default)]
+struct Settled {
+    served: u64,
+    class_served: [u64; PRIORITY_CLASSES],
+    latency: [LatencyHistogram; PRIORITY_CLASSES],
+    snapshots_written: u64,
+    snapshot_errors: u64,
+}
+
 /// Telemetry shared by producers and the dispatcher. All counters are
 /// monotone; the accounting invariant only settles once producers stop.
 struct Shared {
     submitted: AtomicU64,
     enqueued: AtomicU64,
-    served: AtomicU64,
     shed_tenant: AtomicU64,
     shed_queue: AtomicU64,
     shed_deadline: AtomicU64,
     class_submitted: [AtomicU64; PRIORITY_CLASSES],
-    class_served: [AtomicU64; PRIORITY_CLASSES],
     class_shed: [AtomicU64; PRIORITY_CLASSES],
-    latency: [LatencyHistogram; PRIORITY_CLASSES],
+    settled: Mutex<Settled>,
     /// Requests currently queued, per tenant.
     tenants: Mutex<HashMap<u32, usize>>,
     /// Queue occupancy for Batch-headroom admission (std's channel has
@@ -252,8 +265,6 @@ struct Shared {
     ///   Batch work sheds no later than a channel-length check would.
     queued: AtomicUsize,
     shed_shutdown: AtomicU64,
-    snapshots_written: AtomicU64,
-    snapshot_errors: AtomicU64,
     /// Set by [`IngressHandle::shutdown`]: once this instant passes,
     /// the dispatcher sheds dequeued work instead of serving it. `None`
     /// means no drain in progress (or an unbounded drain).
@@ -265,23 +276,15 @@ impl Shared {
         Shared {
             submitted: AtomicU64::new(0),
             enqueued: AtomicU64::new(0),
-            served: AtomicU64::new(0),
             shed_tenant: AtomicU64::new(0),
             shed_queue: AtomicU64::new(0),
             shed_deadline: AtomicU64::new(0),
             class_submitted: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            class_served: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             class_shed: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            latency: [
-                LatencyHistogram::new(),
-                LatencyHistogram::new(),
-                LatencyHistogram::new(),
-            ],
+            settled: Mutex::new(Settled::default()),
             tenants: Mutex::new(HashMap::new()),
             queued: AtomicUsize::new(0),
             shed_shutdown: AtomicU64::new(0),
-            snapshots_written: AtomicU64::new(0),
-            snapshot_errors: AtomicU64::new(0),
             drain_deadline: Mutex::new(None),
         }
     }
@@ -324,49 +327,27 @@ impl Shared {
         }
     }
 
-    /// Publish a served chunk's completions at `done`, given each
-    /// request's `(submitted, priority)` in chunk order: one
-    /// `fetch_add` on `served` and on each class that served requests,
-    /// and one [`LatencyHistogram::record_n`] per run of requests with
-    /// the same class and latency bucket. The histograms end up as if
-    /// each request had been recorded on its own.
+    /// Settle a served chunk's completions at `done`, given each
+    /// request's `(submitted, priority)` in chunk order: its served
+    /// counts and latency samples land under one acquisition of the
+    /// settled lock.
     fn settle_chunk(&self, done: Instant, served: &[(Instant, Priority)]) {
-        let record = |(priority, _, nanos, n): (Priority, usize, u64, u64)| {
-            if let Some(histogram) = self.latency.get(priority.index()) {
-                histogram.record_n(nanos, n);
-            }
-        };
-        let mut per_class = [0u64; PRIORITY_CLASSES];
-        // The open run: (priority, bucket, a latency in it, requests).
-        let mut run: Option<(Priority, usize, u64, u64)> = None;
+        let mut guard = self.settled.lock();
+        let settled = &mut *guard;
         for &(submitted, priority) in served {
             let nanos = done
                 .saturating_duration_since(submitted)
                 .as_nanos()
                 .min(u64::MAX as u128) as u64;
-            let bucket = LatencyHistogram::bucket_of(nanos);
-            if let Some(count) = per_class.get_mut(priority.index()) {
+            let i = priority.index();
+            if let Some(count) = settled.class_served.get_mut(i) {
                 *count += 1;
             }
-            match run.as_mut() {
-                Some((p, b, _, n)) if *p == priority && *b == bucket => *n += 1,
-                _ => {
-                    if let Some(closed) = run.replace((priority, bucket, nanos, 1)) {
-                        record(closed);
-                    }
-                }
+            if let Some(histogram) = settled.latency.get_mut(i) {
+                histogram.record(nanos);
             }
         }
-        if let Some(closed) = run {
-            record(closed);
-        }
-        for (counter, &n) in self.class_served.iter().zip(&per_class) {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed); // atomic:role(counter)
-            }
-        }
-        self.served
-            .fetch_add(served.len() as u64, Ordering::Relaxed); // atomic:role(counter)
+        settled.served += served.len() as u64;
     }
 }
 
@@ -555,11 +536,9 @@ impl Snapshotter {
         match snapshot.save(&self.config.path) {
             Ok(()) => {
                 self.next_seq = self.next_seq.saturating_add(1);
-                shared.snapshots_written.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
+                shared.settled.lock().snapshots_written += 1;
             }
-            Err(_) => {
-                shared.snapshot_errors.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-            }
+            Err(_) => shared.settled.lock().snapshot_errors += 1,
         }
     }
 
@@ -740,6 +719,7 @@ impl Drop for Ingress {
 }
 
 fn report_from(shared: &Shared, waves: u64, fleet_degraded: bool) -> IngressReport {
+    let settled = shared.settled.lock().clone();
     let classes = Priority::ALL
         .iter()
         .map(|&p| {
@@ -747,7 +727,7 @@ fn report_from(shared: &Shared, waves: u64, fleet_degraded: bool) -> IngressRepo
             let load = |c: &[AtomicU64; PRIORITY_CLASSES]| {
                 c.get(i).map(|v| v.load(Ordering::Relaxed)).unwrap_or(0) // atomic:role(counter)
             };
-            let (p50, p99) = shared
+            let (p50, p99) = settled
                 .latency
                 .get(i)
                 .map(|h| (h.p50(), h.p99()))
@@ -755,7 +735,7 @@ fn report_from(shared: &Shared, waves: u64, fleet_degraded: bool) -> IngressRepo
             ClassReport {
                 class: i as u64,
                 submitted: load(&shared.class_submitted),
-                served: load(&shared.class_served),
+                served: settled.class_served.get(i).copied().unwrap_or(0),
                 shed: load(&shared.class_shed),
                 p50_ns: p50,
                 p99_ns: p99,
@@ -765,13 +745,13 @@ fn report_from(shared: &Shared, waves: u64, fleet_degraded: bool) -> IngressRepo
     IngressReport {
         submitted: shared.submitted.load(Ordering::Relaxed), // atomic:role(counter)
         enqueued: shared.enqueued.load(Ordering::Relaxed),   // atomic:role(counter)
-        served: shared.served.load(Ordering::Relaxed),       // atomic:role(counter)
+        served: settled.served,
         shed_tenant_quota: shared.shed_tenant.load(Ordering::Relaxed), // atomic:role(counter)
-        shed_queue_full: shared.shed_queue.load(Ordering::Relaxed), // atomic:role(counter)
-        shed_deadline: shared.shed_deadline.load(Ordering::Relaxed), // atomic:role(counter)
-        shed_shutdown: shared.shed_shutdown.load(Ordering::Relaxed), // atomic:role(counter)
-        snapshots_written: shared.snapshots_written.load(Ordering::Relaxed), // atomic:role(counter)
-        snapshot_errors: shared.snapshot_errors.load(Ordering::Relaxed), // atomic:role(counter)
+        shed_queue_full: shared.shed_queue.load(Ordering::Relaxed),    // atomic:role(counter)
+        shed_deadline: shared.shed_deadline.load(Ordering::Relaxed),   // atomic:role(counter)
+        shed_shutdown: shared.shed_shutdown.load(Ordering::Relaxed),   // atomic:role(counter)
+        snapshots_written: settled.snapshots_written,
+        snapshot_errors: settled.snapshot_errors,
         classes,
         waves,
         fleet_degraded,
@@ -785,7 +765,8 @@ fn report_from(shared: &Shared, waves: u64, fleet_degraded: bool) -> IngressRepo
 ///
 /// Shared state is settled once per chunk, not once per request: the
 /// chunk's tenant slots are released under one lock acquisition, and
-/// its completions are published by [`Shared::settle_chunk`]. Requests
+/// its completions are settled under another by
+/// [`Shared::settle_chunk`]. Requests
 /// move out of their envelopes into the scheduler's input, and the
 /// chunk buffers are reused from chunk to chunk.
 fn dispatch(
@@ -1010,7 +991,8 @@ mod tests {
             let submitted = plan.iter().filter(|&&(_, p)| p == priority).count() as u64;
             let class = &report.classes[i];
             assert_eq!((class.submitted, class.served), (submitted, submitted));
-            assert_eq!(shared.latency[i].count(), class.served, "class {i}");
+            let latency = shared.settled.lock().latency[i].count();
+            assert_eq!(latency, class.served, "class {i}");
         }
     }
 

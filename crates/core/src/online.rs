@@ -301,7 +301,7 @@ impl OnlineSelector {
         let cluster = self.cluster_entry(&mut inner, key);
         let slot = self.pick_slot(cluster);
         drop(inner);
-        self.cached.telemetry().record_adaptive_pick();
+        self.cached.telemetry().update(|t| t.adaptive_picks += 1);
         let config_index = self
             .shipped
             .get(slot)
@@ -401,7 +401,9 @@ impl OnlineSelector {
         generation: u64,
     ) -> bool {
         if generation != self.generation() {
-            self.cached.telemetry().record_stale_reward_dropped();
+            self.cached
+                .telemetry()
+                .update(|t| t.stale_rewards_dropped += 1);
             return false;
         }
         let Some(slot) = self.shipped.iter().position(|&c| c == config_index) else {
@@ -423,7 +425,7 @@ impl OnlineSelector {
             arm.completions += 1;
             arm.sum_duration_s += duration_s;
         }
-        self.cached.telemetry().record_reward_update();
+        self.cached.telemetry().update(|t| t.reward_updates += 1);
         match slowdown {
             Some(x) => self.observe_slowdown(inner, x),
             None => false, // first completion establishes the baseline
@@ -444,7 +446,9 @@ impl OnlineSelector {
         generation: u64,
     ) -> bool {
         if generation != self.generation() {
-            self.cached.telemetry().record_stale_reward_dropped();
+            self.cached
+                .telemetry()
+                .update(|t| t.stale_rewards_dropped += 1);
             return false;
         }
         let Some(slot) = self.shipped.iter().position(|&c| c == config_index) else {
@@ -459,7 +463,7 @@ impl OnlineSelector {
                 arm.disabled = true;
             }
         }
-        self.cached.telemetry().record_reward_update();
+        self.cached.telemetry().update(|t| t.reward_updates += 1);
         // Both flavours are drift evidence: a transient fault costs real
         // device time, and a structural rejection of a config the
         // offline model shipped is device mismatch in itself.
@@ -620,7 +624,7 @@ impl OnlineSelector {
         // the new value and be dropped.
         self.generation.fetch_add(1, Ordering::AcqRel); // atomic:role(publish)
         self.adaptive.store(true, Ordering::Release); // atomic:role(flag)
-        self.cached.telemetry().record_drift_event();
+        self.cached.telemetry().update(|t| t.drift_events += 1);
     }
 }
 

@@ -44,6 +44,7 @@
 use crate::cache::CachedSelector;
 use crate::online::OnlineSelector;
 use crate::sched::ShardedScheduler;
+pub use crate::telemetry::TelemetryState;
 use autokernel_gemm::GemmShape;
 use autokernel_sycl_sim::DeviceSpec;
 use serde::Value;
@@ -186,50 +187,6 @@ pub struct CacheRestoreStats {
     /// Whether the Bloom counters were applied (false on a
     /// shape/config mismatch between snapshot and live filter).
     pub bloom_restored: bool,
-}
-
-/// A full copy of [`crate::SelectionTelemetry`]'s counters.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct TelemetryState {
-    /// Cache hits.
-    pub hits: u64,
-    /// Cache misses.
-    pub misses: u64,
-    /// Accumulated hit latency, nanoseconds.
-    pub hit_nanos: u64,
-    /// Accumulated miss latency, nanoseconds.
-    pub miss_nanos: u64,
-    /// The shipped set the pick counters are aligned with.
-    pub shipped: Vec<usize>,
-    /// Pick count per shipped slot.
-    pub picks: Vec<u64>,
-    /// Launches completed through the resilient executor.
-    pub resilient_launches: u64,
-    /// Failed launch attempts absorbed.
-    pub launch_failures: u64,
-    /// Same-configuration retries.
-    pub retries: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Quarantine skips.
-    pub quarantine_skips: u64,
-    /// Next-best fallbacks.
-    pub fallback_next_best: u64,
-    /// Reference-GEMM fallbacks.
-    pub fallback_reference: u64,
-    /// Statically invalid configs skipped.
-    pub fallback_skipped_invalid: u64,
-    /// Rewards fed into the bandit.
-    pub reward_updates: u64,
-    /// Drift-detector trips.
-    pub drift_events: u64,
-    /// Adaptive-stage primary picks.
-    pub adaptive_picks: u64,
-    /// Stale-generation rewards dropped.
-    pub stale_rewards_dropped: u64,
-    /// Decision-latency histogram bucket counts
-    /// ([`crate::telemetry::LATENCY_BUCKETS`] entries).
-    pub latency_buckets: Vec<u64>,
 }
 
 /// One fleet shard's durable state.

@@ -325,10 +325,14 @@ impl ResilientExecutor {
     pub fn with_online(mut self, online: Arc<OnlineSelector>) -> Self {
         let cached = online.cached_arc();
         if !Arc::ptr_eq(&self.selector, cached) {
-            let skipped = self.selector.telemetry().fallback_skipped_invalid();
-            for _ in 0..skipped {
-                cached.telemetry().record_fallback_skipped_invalid();
-            }
+            let skipped = self
+                .selector
+                .telemetry()
+                .snapshot()
+                .fallback_skipped_invalid;
+            cached
+                .telemetry()
+                .update(|t| t.fallback_skipped_invalid += skipped);
             self.selector = Arc::clone(cached);
         }
         self.online = Some(online);
@@ -357,11 +361,11 @@ impl ResilientExecutor {
         analysis: &SpaceAnalysis,
     ) -> Self {
         let invalid = analysis.invalid_mask();
-        let telemetry = selector.telemetry();
         let mut kept = Vec::with_capacity(ranking.len());
+        let mut skipped = 0u64;
         for &cfg in &ranking {
             if invalid.get(cfg).copied().unwrap_or(false) {
-                telemetry.record_fallback_skipped_invalid();
+                skipped += 1;
                 continue;
             }
             let dominator_present = analysis
@@ -370,11 +374,14 @@ impl ResilientExecutor {
                 .and_then(|c| c.dominated_by)
                 .is_some_and(|d| ranking.contains(&d));
             if dominator_present {
-                telemetry.record_fallback_skipped_invalid();
+                skipped += 1;
                 continue;
             }
             kept.push(cfg);
         }
+        selector
+            .telemetry()
+            .update(|t| t.fallback_skipped_invalid += skipped);
         let mut executor = Self::new(selector, queue, kept, policy);
         executor.invalid = invalid;
         executor
@@ -441,7 +448,7 @@ impl ResilientExecutor {
         c: &Buffer<f32>,
     ) -> Result<LaunchReport> {
         let mut batch = self.decide(&shape)?;
-        self.serve(shape, &mut batch, a, b, c)
+        self.serve(shape, &mut batch, false, a, b, c)
     }
 
     /// Serve a batch of same-`shape` requests, handing each request's
@@ -467,11 +474,8 @@ impl ResilientExecutor {
     ) -> Result<()> {
         let mut batch: Option<BatchDecision> = None;
         for (a, b, c) in operands {
-            let current = match batch.as_mut() {
-                Some(current) if self.still_holds(current) => {
-                    self.selector.telemetry().record_reused_hit(current.slot);
-                    current
-                }
+            let (current, reused) = match batch.as_mut() {
+                Some(current) if self.still_holds(current) => (current, true),
                 _ => {
                     let mut fresh = self.decide(&shape)?;
                     if let Some(previous) = batch.take() {
@@ -479,10 +483,10 @@ impl ResilientExecutor {
                             fresh.primary = previous.primary;
                         }
                     }
-                    batch.insert(fresh)
+                    (batch.insert(fresh), false)
                 }
             };
-            if each(self.serve(shape, current, a, b, c)?).is_break() {
+            if each(self.serve(shape, current, reused, a, b, c)?).is_break() {
                 break;
             }
         }
@@ -518,17 +522,25 @@ impl ResilientExecutor {
     }
 
     /// Serve one request under `batch`'s decision: the fallback chain,
-    /// with the primary's launch prepared once per decision.
+    /// with the primary's launch prepared once per decision. A `reused`
+    /// decision counts its hit and pick in the same telemetry update as
+    /// the launch.
     fn serve(
         &self,
         shape: GemmShape,
         batch: &mut BatchDecision,
+        reused: bool,
         a: &Buffer<f32>,
         b: &Buffer<f32>,
         c: &Buffer<f32>,
     ) -> Result<LaunchReport> {
         let telemetry = self.selector.telemetry();
-        telemetry.record_resilient_launch();
+        telemetry.update(|t| {
+            if reused {
+                t.count_reused_hit(batch.slot);
+            }
+            t.resilient_launches += 1;
+        });
         let primary = batch.outcome.config_index;
 
         let deadline_s = self.queue.now_s() + self.policy.deadline_s;
@@ -539,7 +551,7 @@ impl ResilientExecutor {
         // burning an attempt: the runtime would reject every launch of it.
         let primary_ok = !self.invalid.get(primary).copied().unwrap_or(false);
         if !primary_ok {
-            telemetry.record_fallback_skipped_invalid();
+            telemetry.update(|t| t.fallback_skipped_invalid += 1);
         }
         let candidates = std::iter::once(primary)
             .filter(|_| primary_ok)
@@ -560,7 +572,7 @@ impl ResilientExecutor {
             for attempt in 0..self.policy.max_attempts.max(1) {
                 if let Some(breaker) = breaker {
                     if !breaker.admit(self.queue.now_s()) {
-                        telemetry.record_quarantine_skip();
+                        telemetry.update(|t| t.quarantine_skips += 1);
                         break; // quarantined: next candidate
                     }
                 }
@@ -590,7 +602,7 @@ impl ResilientExecutor {
                         let fallback = if effective_depth == 0 {
                             FallbackLevel::Primary
                         } else {
-                            telemetry.record_fallback_next_best();
+                            telemetry.update(|t| t.fallback_next_best += 1);
                             FallbackLevel::NextBest(effective_depth.min(u8::MAX as usize) as u8)
                         };
                         let decision = LaunchDecision::new(cfg_idx, batch.outcome.cache_hit)
@@ -603,11 +615,11 @@ impl ResilientExecutor {
                         });
                     }
                     Err(error) => {
-                        telemetry.record_launch_failure();
+                        telemetry.update(|t| t.launch_failures += 1);
                         let now = self.queue.now_s();
                         let tripped = breaker.is_some_and(|breaker| breaker.on_failure(now));
                         if tripped {
-                            telemetry.record_breaker_trip();
+                            telemetry.update(|t| t.breaker_trips += 1);
                         }
                         let event = match &error {
                             SimError::Fault(f) => Some(Event::failed(
@@ -634,7 +646,7 @@ impl ResilientExecutor {
                             if now >= deadline_s {
                                 break; // deadline spent: stop retrying, fall through
                             }
-                            telemetry.record_retry();
+                            telemetry.update(|t| t.retries += 1);
                             let jitter_seed = (cfg_idx as u64)
                                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                                 .wrapping_add(attempt as u64)
@@ -651,7 +663,7 @@ impl ResilientExecutor {
 
         // Terminal rung: the reference GEMM on the fault-free queue.
         // Exact results, untuned speed, cannot be quarantined.
-        telemetry.record_fallback_reference();
+        telemetry.update(|t| t.fallback_reference += 1);
         let kernel = ReferenceGemmKernel::new(shape, a, b, c)?;
         let range = kernel.preferred_range()?;
         let event = self.safe_queue.submit(&kernel, range)?;

@@ -1086,9 +1086,10 @@ mod tests {
         assert_eq!(report.assignments.len(), 1, "one batch, one decision");
         assert_eq!(sched.telemetry().batched, 5);
         // The batch warmed the shard's cache once; the siblings hit.
-        let telemetry = sched.shard(0).unwrap().executor().selector().telemetry();
-        assert_eq!(telemetry.misses(), 1);
-        assert_eq!(telemetry.hits(), 5);
+        let executor = sched.shard(0).unwrap().executor();
+        let telemetry = executor.selector().telemetry().snapshot();
+        assert_eq!(telemetry.misses, 1);
+        assert_eq!(telemetry.hits, 5);
     }
 
     #[test]

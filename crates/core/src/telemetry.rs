@@ -1,37 +1,58 @@
 //! Selection telemetry: the counters and the decision-latency
 //! histogram every [`crate::cache::CachedSelector`] carries.
 //!
-//! [`SelectionTelemetry`] counts cache hits and misses, per-shipped-
-//! configuration picks, resilient-serving outcomes and online-adaptation
-//! events; [`LatencyHistogram`] buckets decision (and ingress) latencies
-//! in log2 buckets. Both update lock-free atomics and allocate nothing
-//! per record, so they stay on in production.
+//! [`SelectionTelemetry`] keeps one [`TelemetryState`] record behind
+//! one mutex: cache hits and misses, per-shipped-configuration picks,
+//! resilient-serving outcomes, online-adaptation events and the
+//! decision-latency buckets. An update is one short critical section
+//! that allocates nothing, so the record stays on in production, and a
+//! read copies the whole record under the same lock, so every capture
+//! is consistent. [`LatencyHistogram`] is the same log2 bucketing as a
+//! plain value, which the ingress layer keeps per priority class.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
 
 /// Number of log2 latency buckets: bucket `i` counts samples in
 /// `[2^i, 2^(i+1))` nanoseconds, so 64 buckets span every expressible
 /// `u64` latency.
 pub const LATENCY_BUCKETS: usize = 64;
 
-/// A fixed-bucket log2 latency histogram over lock-free atomics.
-///
-/// The record path is two atomic increments and zero allocation —
-/// cheap enough for every request on the ingress hot path (and
-/// `hotpath_lint`-clean). The bucket increment is relaxed; the `count`
-/// increment *releases* it, and quantile reads load `count` with
-/// acquire, so a reader can never observe more counted samples than
-/// bucketed ones (the `analyze::interleave` latency-histogram model
-/// checks exactly this invariant — with both increments relaxed, a
-/// reader could fall off the cumulative walk and return the `f64::MAX`
-/// sentinel). Quantiles walk the 64 bucket counters and interpolate
-/// linearly inside the winning bucket, which bounds the error by the
-/// bucket's width (a factor of two — plenty for p50/p99 SLO
-/// telemetry).
-#[derive(Debug)]
+/// The `q`-quantile (`q` in `[0, 1]`) of log2 bucket counts holding
+/// `total` samples, in nanoseconds, linearly interpolated within the
+/// winning bucket; 0 with no samples. The interpolation bounds the
+/// error by the bucket's width (a factor of two — plenty for p50/p99
+/// SLO telemetry).
+fn quantile(buckets: &[u64], total: u64, q: f64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let target = (q.clamp(0.0, 1.0) * total as f64).max(1.0);
+    let mut cumulative = 0u64;
+    for (i, &n) in buckets.iter().enumerate() {
+        if n == 0 {
+            continue;
+        }
+        let before = cumulative;
+        cumulative = cumulative.saturating_add(n);
+        if (cumulative as f64) >= target {
+            let lower = (i as f64).exp2();
+            let width = lower; // bucket spans [2^i, 2^(i+1))
+            let frac = (target - before as f64) / n as f64;
+            return lower + frac.clamp(0.0, 1.0) * width;
+        }
+    }
+    // Unreachable: the walk ends at `total`, which is at least `target`.
+    f64::MAX
+}
+
+/// A fixed-bucket log2 latency histogram: plain counts, recorded
+/// through `&mut self` by the one owner that serves the samples. The
+/// total is kept beside the buckets so a quantile read walks only up
+/// to the winning bucket, and interpolates linearly inside it.
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
+    buckets: [u64; LATENCY_BUCKETS],
+    count: u64,
 }
 
 impl Default for LatencyHistogram {
@@ -44,8 +65,8 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            buckets: (0..LATENCY_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
+            buckets: [0; LATENCY_BUCKETS],
+            count: 0,
         }
     }
 
@@ -55,55 +76,25 @@ impl LatencyHistogram {
         63 - nanos.max(1).leading_zeros() as usize
     }
 
-    /// Record one sample of `nanos` (0 is clamped to 1). Lock-free,
-    /// allocation-free. The release on `count` publishes the bucket
-    /// increment to acquire readers.
-    pub fn record(&self, nanos: u64) {
-        self.record_n(nanos, 1);
-    }
-
-    /// Record `n` samples of `nanos` with two atomic updates: the bucket
-    /// counts and total come out as after `n` calls of
-    /// [`LatencyHistogram::record`]. The bucket is bumped first and the
-    /// release on `count` publishes it, as in `record`.
-    pub fn record_n(&self, nanos: u64, n: u64) {
-        if let Some(bucket) = self.buckets.get(Self::bucket_of(nanos)) {
-            bucket.fetch_add(n, Ordering::Relaxed); // atomic:role(counter)
-            self.count.fetch_add(n, Ordering::Release); // atomic:role(publish)
+    /// Record one sample of `nanos` (0 is clamped to 1).
+    /// Allocation-free.
+    pub fn record(&mut self, nanos: u64) {
+        if let Some(bucket) = self.buckets.get_mut(Self::bucket_of(nanos)) {
+            *bucket += 1;
+            self.count += 1;
         }
     }
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Acquire) // atomic:role(publish)
+        self.count
     }
 
     /// The `q`-quantile latency in nanoseconds (`q` in `[0, 1]`),
     /// linearly interpolated within the winning bucket; 0 with no
     /// samples.
     pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).max(1.0);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            let n = bucket.load(Ordering::Relaxed); // atomic:role(counter)
-            if n == 0 {
-                continue;
-            }
-            let before = cumulative;
-            cumulative += n;
-            if (cumulative as f64) >= target {
-                let lower = (1u64 << i) as f64;
-                let width = lower; // bucket spans [2^i, 2^(i+1))
-                let frac = (target - before as f64) / n as f64;
-                return lower + frac.clamp(0.0, 1.0) * width;
-            }
-        }
-        // Unreachable with a consistent count; report the top edge.
-        f64::MAX
+        quantile(&self.buckets, self.count, q)
     }
 
     /// Median latency in nanoseconds.
@@ -115,177 +106,151 @@ impl LatencyHistogram {
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
-
-    /// The raw bucket counts (`LATENCY_BUCKETS` entries; bucket `i`
-    /// spans `[2^i, 2^(i+1))` ns).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed)) // atomic:role(counter)
-            .collect()
-    }
-
-    /// Overwrite the histogram from saved bucket counts (the snapshot
-    /// restore path). Returns false — leaving the histogram untouched —
-    /// unless `counts` has exactly [`LATENCY_BUCKETS`] entries. The
-    /// total is recomputed from the buckets (saturating), keeping
-    /// quantile reads internally consistent whatever the counts were.
-    pub fn restore_counts(&self, counts: &[u64]) -> bool {
-        if counts.len() != self.buckets.len() {
-            return false;
-        }
-        let mut total = 0u64;
-        for (bucket, &n) in self.buckets.iter().zip(counts) {
-            bucket.store(n, Ordering::Relaxed); // atomic:role(counter)
-            total = total.saturating_add(n);
-        }
-        self.count.store(total, Ordering::Release); // atomic:role(publish)
-        true
-    }
 }
 
-/// Lock-free counters describing the serving layer's behaviour.
-///
-/// All counters are monotonic and updated with relaxed atomics: the
-/// numbers are diagnostics, not synchronisation points. `hits + misses`
-/// always equals the total number of `select` calls that completed.
-#[derive(Debug)]
-pub struct SelectionTelemetry {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    hit_nanos: AtomicU64,
-    miss_nanos: AtomicU64,
-    /// One slot per shipped configuration, in `Selector::configs()`
-    /// order, counting how often each was picked.
-    picks: Vec<AtomicU64>,
-    /// Global config index per slot (frozen copy of the shipped set).
-    shipped: Vec<usize>,
-    // --- resilient-serving counters (all zero outside a
-    // `resilient::ResilientExecutor`) ---
-    resilient_launches: AtomicU64,
-    launch_failures: AtomicU64,
-    retries: AtomicU64,
-    breaker_trips: AtomicU64,
-    quarantine_skips: AtomicU64,
-    fallback_next_best: AtomicU64,
-    fallback_reference: AtomicU64,
-    fallback_skipped_invalid: AtomicU64,
-    // --- online-adaptation counters (all zero without an
-    // `online::OnlineSelector`) ---
-    reward_updates: AtomicU64,
-    drift_events: AtomicU64,
-    adaptive_picks: AtomicU64,
-    /// Rewards discarded because they were measured under an older
-    /// selector generation than the one live when they arrived (the
-    /// stale-reward-poisoning guard in `core::online`).
-    stale_rewards_dropped: AtomicU64,
-    /// Wall-clock decision latency (cache hit or model run), log2
-    /// buckets.
-    decision_latency: LatencyHistogram,
+/// Every counter of a [`SelectionTelemetry`] block: the live record
+/// the block keeps behind its lock, and the telemetry section of a
+/// `core::persist` snapshot.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct TelemetryState {
+    /// Cache hits.
+    pub hits: u64,
+    /// Cache misses.
+    pub misses: u64,
+    /// Accumulated hit latency, nanoseconds.
+    pub hit_nanos: u64,
+    /// Accumulated miss latency, nanoseconds.
+    pub miss_nanos: u64,
+    /// The shipped set the pick counters are aligned with.
+    pub shipped: Vec<usize>,
+    /// Pick count per shipped slot.
+    pub picks: Vec<u64>,
+    /// Launches completed through the resilient executor.
+    pub resilient_launches: u64,
+    /// Failed launch attempts absorbed.
+    pub launch_failures: u64,
+    /// Same-configuration retries.
+    pub retries: u64,
+    /// Circuit-breaker trips.
+    pub breaker_trips: u64,
+    /// Quarantine skips.
+    pub quarantine_skips: u64,
+    /// Next-best fallbacks.
+    pub fallback_next_best: u64,
+    /// Reference-GEMM fallbacks.
+    pub fallback_reference: u64,
+    /// Statically invalid configs skipped.
+    pub fallback_skipped_invalid: u64,
+    /// Rewards fed into the bandit.
+    pub reward_updates: u64,
+    /// Drift-detector trips.
+    pub drift_events: u64,
+    /// Adaptive-stage primary picks.
+    pub adaptive_picks: u64,
+    /// Stale-generation rewards dropped.
+    pub stale_rewards_dropped: u64,
+    /// Decision-latency histogram bucket counts
+    /// ([`LATENCY_BUCKETS`] entries).
+    pub latency_buckets: Vec<u64>,
 }
 
-impl SelectionTelemetry {
+impl TelemetryState {
+    /// A zeroed record whose pick counters align with `shipped`.
     // lint:allow-fn(no-alloc) constructed once per selector, not per decision
-    pub(crate) fn new(shipped: &[usize]) -> Self {
-        SelectionTelemetry {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            hit_nanos: AtomicU64::new(0),
-            miss_nanos: AtomicU64::new(0),
-            picks: shipped.iter().map(|_| AtomicU64::new(0)).collect(),
+    fn new(shipped: &[usize]) -> Self {
+        TelemetryState {
+            hits: 0,
+            misses: 0,
+            hit_nanos: 0,
+            miss_nanos: 0,
             shipped: shipped.to_vec(),
-            resilient_launches: AtomicU64::new(0),
-            launch_failures: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            quarantine_skips: AtomicU64::new(0),
-            fallback_next_best: AtomicU64::new(0),
-            fallback_reference: AtomicU64::new(0),
-            fallback_skipped_invalid: AtomicU64::new(0),
-            reward_updates: AtomicU64::new(0),
-            drift_events: AtomicU64::new(0),
-            adaptive_picks: AtomicU64::new(0),
-            stale_rewards_dropped: AtomicU64::new(0),
-            decision_latency: LatencyHistogram::new(),
-        }
-    }
-
-    pub(crate) fn record_stale_reward_dropped(&self) {
-        self.stale_rewards_dropped.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_reward_update(&self) {
-        self.reward_updates.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_drift_event(&self) {
-        self.drift_events.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_adaptive_pick(&self) {
-        self.adaptive_picks.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_resilient_launch(&self) {
-        self.resilient_launches.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_launch_failure(&self) {
-        self.launch_failures.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_quarantine_skip(&self) {
-        self.quarantine_skips.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_fallback_next_best(&self) {
-        self.fallback_next_best.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_fallback_reference(&self) {
-        self.fallback_reference.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record_fallback_skipped_invalid(&self) {
-        self.fallback_skipped_invalid
-            .fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-    }
-
-    pub(crate) fn record(&self, hit: bool, nanos: u64, config_index: usize) {
-        self.decision_latency.record(nanos);
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-            self.hit_nanos.fetch_add(nanos, Ordering::Relaxed); // atomic:role(counter)
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-            self.miss_nanos.fetch_add(nanos, Ordering::Relaxed); // atomic:role(counter)
-        }
-        if let Some(slot) = self.shipped.iter().position(|&c| c == config_index) {
-            // lint:allow(no-index) slot comes from position() over picks' twin
-            self.picks[slot].fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
+            picks: vec![0; shipped.len()],
+            resilient_launches: 0,
+            launch_failures: 0,
+            retries: 0,
+            breaker_trips: 0,
+            quarantine_skips: 0,
+            fallback_next_best: 0,
+            fallback_reference: 0,
+            fallback_skipped_invalid: 0,
+            reward_updates: 0,
+            drift_events: 0,
+            adaptive_picks: 0,
+            stale_rewards_dropped: 0,
+            latency_buckets: vec![0; LATENCY_BUCKETS],
         }
     }
 
     /// Count a reused decision as one hit and one pick, without a
     /// latency sample (the decision was made, and timed, once for the
     /// whole batch). `slot` is the decision's shipped-set position from
-    /// [`SelectionTelemetry::shipped_slot`]; `None` bumps no pick
-    /// counter, exactly like a non-shipped pick in
-    /// [`SelectionTelemetry::record`].
-    #[inline]
-    pub(crate) fn record_reused_hit(&self, slot: Option<usize>) {
-        self.hits.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-        if let Some(pick) = slot.and_then(|slot| self.picks.get(slot)) {
-            pick.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
+    /// [`SelectionTelemetry::shipped_slot`]; `None` counts no pick,
+    /// exactly like a non-shipped pick in [`SelectionTelemetry::record`].
+    pub(crate) fn count_reused_hit(&mut self, slot: Option<usize>) {
+        self.hits += 1;
+        self.count_pick(slot);
+    }
+
+    fn count_pick(&mut self, slot: Option<usize>) {
+        if let Some(pick) = slot.and_then(|slot| self.picks.get_mut(slot)) {
+            *pick += 1;
         }
+    }
+}
+
+/// The serving layer's counters: one [`TelemetryState`] record behind
+/// one mutex, beside an immutable copy of the shipped set its pick
+/// counters align with.
+///
+/// All counters are monotonic diagnostics. `hits + misses` equals the
+/// number of `select` calls that completed, and the picks sum to it
+/// whenever every pick is shipped. Every update and every read takes
+/// the one lock, so each [`SelectionTelemetry::snapshot`] and
+/// [`SelectionTelemetry::export_state`] sees those identities hold,
+/// even while other threads serve.
+#[derive(Debug)]
+pub struct SelectionTelemetry {
+    /// Global config index per pick slot (frozen copy of the shipped
+    /// set).
+    shipped: Vec<usize>,
+    record: Mutex<TelemetryState>,
+}
+
+impl SelectionTelemetry {
+    // lint:allow-fn(no-alloc) constructed once per selector, not per decision
+    pub(crate) fn new(shipped: &[usize]) -> Self {
+        SelectionTelemetry {
+            shipped: shipped.to_vec(),
+            record: Mutex::new(TelemetryState::new(shipped)),
+        }
+    }
+
+    /// Apply `f` to the live record under one acquisition of the lock,
+    /// however many counters it moves.
+    pub(crate) fn update(&self, f: impl FnOnce(&mut TelemetryState)) {
+        f(&mut self.record.lock());
+    }
+
+    /// Count one decision: a hit or a model run with its latency, and
+    /// the pick of `config_index` when it is shipped.
+    pub(crate) fn record(&self, hit: bool, nanos: u64, config_index: usize) {
+        let slot = self.shipped_slot(config_index);
+        self.update(|t| {
+            if let Some(bucket) = t
+                .latency_buckets
+                .get_mut(LatencyHistogram::bucket_of(nanos))
+            {
+                *bucket += 1;
+            }
+            if hit {
+                t.hits += 1;
+                t.hit_nanos += nanos;
+            } else {
+                t.misses += 1;
+                t.miss_nanos += nanos;
+            }
+            t.count_pick(slot);
+        });
     }
 
     /// The shipped-set slot of `config_index`, if it is shipped.
@@ -293,246 +258,73 @@ impl SelectionTelemetry {
         self.shipped.iter().position(|&c| c == config_index)
     }
 
-    /// Selections answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Selections that ran the model.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Total completed selections (`hits + misses`).
-    pub fn total(&self) -> u64 {
-        self.hits() + self.misses()
-    }
-
-    /// Cache hit rate in `[0, 1]` (0 when nothing was selected yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / total as f64
-        }
-    }
-
-    /// Mean latency of cache hits, in nanoseconds.
-    pub fn mean_hit_nanos(&self) -> f64 {
-        let hits = self.hits();
-        if hits == 0 {
-            0.0
-        } else {
-            self.hit_nanos.load(Ordering::Relaxed) as f64 / hits as f64 // atomic:role(counter)
-        }
-    }
-
-    /// Mean latency of cache misses (model inference), in nanoseconds.
-    pub fn mean_miss_nanos(&self) -> f64 {
-        let misses = self.misses();
-        if misses == 0 {
-            0.0
-        } else {
-            self.miss_nanos.load(Ordering::Relaxed) as f64 / misses as f64 // atomic:role(counter)
-        }
-    }
-
-    /// Launches completed through the resilient executor.
-    pub fn resilient_launches(&self) -> u64 {
-        self.resilient_launches.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Individual failed launch attempts the executor absorbed.
-    pub fn launch_failures(&self) -> u64 {
-        self.launch_failures.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Retries of the *same* configuration after a transient fault.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Circuit-breaker transitions into the open state.
-    pub fn breaker_trips(&self) -> u64 {
-        self.breaker_trips.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Candidate configurations skipped because their breaker was open.
-    pub fn quarantine_skips(&self) -> u64 {
-        self.quarantine_skips.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Launches served by a next-best shipped configuration.
-    pub fn fallback_next_best(&self) -> u64 {
-        self.fallback_next_best.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Launches degraded all the way to the reference GEMM.
-    pub fn fallback_reference(&self) -> u64 {
-        self.fallback_reference.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Configurations excluded from the fallback chain (or skipped as a
-    /// primary pick) because static analysis proved them invalid or
-    /// dominated on the serving device.
-    pub fn fallback_skipped_invalid(&self) -> u64 {
-        self.fallback_skipped_invalid.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Measured launch outcomes fed back into the online bandit.
-    pub fn reward_updates(&self) -> u64 {
-        self.reward_updates.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Drift-detector trips (each re-ranks the bandit and opens a new
-    /// online generation).
-    pub fn drift_events(&self) -> u64 {
-        self.drift_events.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Primary picks made by the adaptive (post-drift) stage rather
-    /// than the offline classifier. These bypass the shape cache, so
-    /// they are *not* part of `hits + misses`.
-    pub fn adaptive_picks(&self) -> u64 {
-        self.adaptive_picks.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// Rewards discarded for carrying a stale selector generation.
-    pub fn stale_rewards_dropped(&self) -> u64 {
-        self.stale_rewards_dropped.load(Ordering::Relaxed) // atomic:role(counter)
-    }
-
-    /// The decision-latency histogram (cache hits and model runs).
-    pub fn decision_latency(&self) -> &LatencyHistogram {
-        &self.decision_latency
-    }
-
-    /// `(global config index, times picked)` per shipped configuration,
-    /// in shipped order.
-    pub fn picks(&self) -> Vec<(usize, u64)> {
-        self.shipped
-            .iter()
-            .zip(&self.picks)
-            .map(|(&c, n)| (c, n.load(Ordering::Relaxed))) // atomic:role(counter)
-            .collect()
-    }
-
-    /// An owned, consistent-enough copy for reporting/serialisation.
+    /// A consistent point-in-time copy for reporting and
+    /// serialisation, taken under one acquisition of the lock.
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        let t = self.export_state();
+        let mean = |nanos: u64, n: u64| if n == 0 { 0.0 } else { nanos as f64 / n as f64 };
+        let decisions = t
+            .latency_buckets
+            .iter()
+            .fold(0u64, |sum, &n| sum.saturating_add(n));
         TelemetrySnapshot {
-            hits: self.hits(),
-            misses: self.misses(),
-            mean_hit_nanos: self.mean_hit_nanos(),
-            mean_miss_nanos: self.mean_miss_nanos(),
-            picks: self
-                .picks()
-                .into_iter()
-                .map(|(config_index, count)| PickCount {
+            hits: t.hits,
+            misses: t.misses,
+            mean_hit_nanos: mean(t.hit_nanos, t.hits),
+            mean_miss_nanos: mean(t.miss_nanos, t.misses),
+            picks: t
+                .shipped
+                .iter()
+                .zip(&t.picks)
+                .map(|(&config_index, &count)| PickCount {
                     config_index,
                     count,
                 })
                 .collect(),
-            resilient_launches: self.resilient_launches(),
-            launch_failures: self.launch_failures(),
-            retries: self.retries(),
-            breaker_trips: self.breaker_trips(),
-            quarantine_skips: self.quarantine_skips(),
-            fallback_next_best: self.fallback_next_best(),
-            fallback_reference: self.fallback_reference(),
-            fallback_skipped_invalid: self.fallback_skipped_invalid(),
-            reward_updates: self.reward_updates(),
-            drift_events: self.drift_events(),
-            adaptive_picks: self.adaptive_picks(),
-            stale_rewards_dropped: self.stale_rewards_dropped(),
-            decision_p50_ns: self.decision_latency.p50(),
-            decision_p99_ns: self.decision_latency.p99(),
+            resilient_launches: t.resilient_launches,
+            launch_failures: t.launch_failures,
+            retries: t.retries,
+            breaker_trips: t.breaker_trips,
+            quarantine_skips: t.quarantine_skips,
+            fallback_next_best: t.fallback_next_best,
+            fallback_reference: t.fallback_reference,
+            fallback_skipped_invalid: t.fallback_skipped_invalid,
+            reward_updates: t.reward_updates,
+            drift_events: t.drift_events,
+            adaptive_picks: t.adaptive_picks,
+            stale_rewards_dropped: t.stale_rewards_dropped,
+            decision_p50_ns: quantile(&t.latency_buckets, decisions, 0.50),
+            decision_p99_ns: quantile(&t.latency_buckets, decisions, 0.99),
         }
     }
 
-    /// Export every counter and the latency histogram for
-    /// `core::persist` snapshots.
+    /// A copy of the whole live record, for `core::persist` snapshots.
     // lint:allow-fn(no-alloc) snapshot export runs off the decide path
-    pub fn export_state(&self) -> crate::persist::TelemetryState {
-        crate::persist::TelemetryState {
-            hits: self.hits(),
-            misses: self.misses(),
-            hit_nanos: self.hit_nanos.load(Ordering::Relaxed), // atomic:role(counter)
-            miss_nanos: self.miss_nanos.load(Ordering::Relaxed), // atomic:role(counter)
-            shipped: self.shipped.clone(),
-            picks: self
-                .picks
-                .iter()
-                .map(|p| p.load(Ordering::Relaxed)) // atomic:role(counter)
-                .collect(),
-            resilient_launches: self.resilient_launches(),
-            launch_failures: self.launch_failures(),
-            retries: self.retries(),
-            breaker_trips: self.breaker_trips(),
-            quarantine_skips: self.quarantine_skips(),
-            fallback_next_best: self.fallback_next_best(),
-            fallback_reference: self.fallback_reference(),
-            fallback_skipped_invalid: self.fallback_skipped_invalid(),
-            reward_updates: self.reward_updates(),
-            drift_events: self.drift_events(),
-            adaptive_picks: self.adaptive_picks(),
-            stale_rewards_dropped: self.stale_rewards_dropped(),
-            latency_buckets: self.decision_latency.bucket_counts(),
-        }
+    pub fn export_state(&self) -> TelemetryState {
+        self.record.lock().clone()
     }
 
-    /// Overwrite every counter from an exported state, so restart-
+    /// Overwrite the live record with an exported one, so restart-
     /// spanning reports stay cumulative. The snapshot's shipped set and
-    /// histogram geometry must match the live block exactly.
+    /// histogram geometry must match the live block exactly; on a
+    /// mismatch the live record is left untouched.
     // lint:allow-fn(no-alloc) snapshot restore is a cold startup path
-    pub fn restore_state(
-        &self,
-        state: &crate::persist::TelemetryState,
-    ) -> std::result::Result<(), String> {
-        if state.shipped != self.shipped || state.picks.len() != self.picks.len() {
+    pub fn restore_state(&self, state: &TelemetryState) -> std::result::Result<(), String> {
+        if state.shipped != self.shipped || state.picks.len() != self.shipped.len() {
             return Err(format!(
                 "telemetry shipped-set mismatch: snapshot has {} slots, live block {}",
                 state.picks.len(),
-                self.picks.len()
+                self.shipped.len()
             ));
         }
-        if !self.decision_latency.restore_counts(&state.latency_buckets) {
+        if state.latency_buckets.len() != LATENCY_BUCKETS {
             return Err(format!(
                 "latency histogram geometry mismatch: snapshot has {} buckets, live {}",
                 state.latency_buckets.len(),
                 LATENCY_BUCKETS
             ));
         }
-        self.hits.store(state.hits, Ordering::Relaxed); // atomic:role(counter)
-        self.misses.store(state.misses, Ordering::Relaxed); // atomic:role(counter)
-        self.hit_nanos.store(state.hit_nanos, Ordering::Relaxed); // atomic:role(counter)
-        self.miss_nanos.store(state.miss_nanos, Ordering::Relaxed); // atomic:role(counter)
-        for (pick, &n) in self.picks.iter().zip(&state.picks) {
-            pick.store(n, Ordering::Relaxed); // atomic:role(counter)
-        }
-        self.resilient_launches
-            .store(state.resilient_launches, Ordering::Relaxed); // atomic:role(counter)
-        self.launch_failures
-            .store(state.launch_failures, Ordering::Relaxed); // atomic:role(counter)
-        self.retries.store(state.retries, Ordering::Relaxed); // atomic:role(counter)
-        self.breaker_trips
-            .store(state.breaker_trips, Ordering::Relaxed); // atomic:role(counter)
-        self.quarantine_skips
-            .store(state.quarantine_skips, Ordering::Relaxed); // atomic:role(counter)
-        self.fallback_next_best
-            .store(state.fallback_next_best, Ordering::Relaxed); // atomic:role(counter)
-        self.fallback_reference
-            .store(state.fallback_reference, Ordering::Relaxed); // atomic:role(counter)
-        self.fallback_skipped_invalid
-            .store(state.fallback_skipped_invalid, Ordering::Relaxed); // atomic:role(counter)
-        self.reward_updates
-            .store(state.reward_updates, Ordering::Relaxed); // atomic:role(counter)
-        self.drift_events
-            .store(state.drift_events, Ordering::Relaxed); // atomic:role(counter)
-        self.adaptive_picks
-            .store(state.adaptive_picks, Ordering::Relaxed); // atomic:role(counter)
-        self.stale_rewards_dropped
-            .store(state.stale_rewards_dropped, Ordering::Relaxed); // atomic:role(counter)
+        *self.record.lock() = state.clone();
         Ok(())
     }
 }
@@ -574,14 +366,18 @@ pub struct TelemetrySnapshot {
     pub fallback_next_best: u64,
     /// Launches degraded to the reference GEMM.
     pub fallback_reference: u64,
-    /// Configurations skipped because static analysis proved them
-    /// invalid or dominated.
+    /// Configurations excluded from the fallback chain (or skipped as a
+    /// primary pick) because static analysis proved them invalid or
+    /// dominated on the serving device.
     pub fallback_skipped_invalid: u64,
     /// Measured launch outcomes fed back into the online bandit.
     pub reward_updates: u64,
-    /// Drift-detector trips.
+    /// Drift-detector trips (each re-ranks the bandit and opens a new
+    /// online generation).
     pub drift_events: u64,
-    /// Primary picks made by the adaptive (post-drift) stage.
+    /// Primary picks made by the adaptive (post-drift) stage rather
+    /// than the offline classifier. These bypass the shape cache, so
+    /// they are *not* part of `hits + misses`.
     pub adaptive_picks: u64,
     /// Rewards discarded for carrying a stale selector generation.
     pub stale_rewards_dropped: u64,
@@ -610,24 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn record_n_equals_n_single_records() {
-        for nanos in [0, 1, 1023, 1024, u64::MAX] {
-            for n in [0, 1, 5] {
-                let batched = LatencyHistogram::new();
-                let single = LatencyHistogram::new();
-                batched.record_n(nanos, n);
-                for _ in 0..n {
-                    single.record(nanos);
-                }
-                assert_eq!(
-                    batched.bucket_counts(),
-                    single.bucket_counts(),
-                    "{nanos} x {n}"
-                );
-                assert_eq!(batched.count(), single.count(), "{nanos} x {n}");
-                assert_eq!(batched.count(), n);
-            }
-        }
+    fn histogram_buckets_and_quantiles() {
         // 0 and 1 share the lowest bucket; 1023 and 1024 straddle a
         // bucket edge.
         assert_eq!(
@@ -639,5 +418,44 @@ mod tests {
             LatencyHistogram::bucket_of(1024)
         );
         assert_eq!(LatencyHistogram::bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
+
+        let mut histogram = LatencyHistogram::new();
+        assert_eq!((histogram.count(), histogram.p50()), (0, 0.0));
+        for nanos in [0, 1, 1023, 1024, u64::MAX] {
+            histogram.record(nanos);
+        }
+        assert_eq!(histogram.count(), 5);
+        // The median sample, 1023, sits in [512, 1024).
+        assert!((512.0..1024.0).contains(&histogram.p50()));
+        assert!(histogram.p99() >= (63f64).exp2());
+        assert!(histogram.quantile(1.0) < f64::MAX);
+    }
+
+    #[test]
+    fn restore_validates_before_it_assigns() {
+        let cached = CachedSelector::new(trained());
+        cached.select(&GemmShape::new(50, 60, 70)).unwrap();
+        let telemetry = cached.telemetry();
+        let saved = telemetry.export_state();
+
+        let mut wrong_set = saved.clone();
+        wrong_set.shipped.push(usize::MAX);
+        wrong_set.picks.push(0);
+        wrong_set.hits = 99;
+        assert!(telemetry.restore_state(&wrong_set).is_err());
+        let mut wrong_geometry = saved.clone();
+        wrong_geometry.latency_buckets.pop();
+        wrong_geometry.hits = 99;
+        assert!(telemetry.restore_state(&wrong_geometry).is_err());
+        assert_eq!(
+            telemetry.snapshot().hits,
+            0,
+            "a rejected state changes nothing"
+        );
+
+        let mut grown = saved;
+        grown.hits = 7;
+        telemetry.restore_state(&grown).unwrap();
+        assert_eq!(telemetry.snapshot().hits, 7);
     }
 }

@@ -380,9 +380,8 @@ impl Context {
 
 /// A cheap read-only handle on a queue's (or context's) simulated
 /// clock. Cloning shares the underlying clock, so a fleet scheduler can
-/// hold one handle per device and read in-flight simulated time — or
-/// compute a fleet makespan as the max over handles — without holding
-/// the queues themselves.
+/// hold one handle per device and read in-flight simulated time without
+/// holding the queues themselves.
 #[derive(Clone)]
 pub struct SimClock {
     clock_s: ClockCell,
@@ -392,17 +391,6 @@ impl SimClock {
     /// Current simulated time on the shared clock.
     pub fn now_s(&self) -> f64 {
         read_clock(&self.clock_s)
-    }
-
-    /// Whether two handles observe the same underlying clock.
-    pub fn same_clock(&self, other: &SimClock) -> bool {
-        Arc::ptr_eq(&self.clock_s, &other.clock_s)
-    }
-
-    /// The latest simulated time across a set of device clocks — the
-    /// fleet makespan when each handle tracks one device's timeline.
-    pub fn max_now_s(clocks: &[SimClock]) -> f64 {
-        clocks.iter().map(SimClock::now_s).fold(0.0f64, f64::max)
     }
 }
 
@@ -958,17 +946,15 @@ mod tests {
         let platform = Platform::standard();
         let dev = platform.device_by_name("nano").unwrap();
         let queue = Queue::timing_only(dev.clone());
-        let handle = queue.clock();
-        assert_eq!(handle.now_s(), 0.0);
+        let handles = [queue.clock(), queue.without_faults().clock()];
+        assert_eq!(handles[0].now_s(), 0.0);
         queue.wait(2.5e-3);
-        assert!((handle.now_s() - 2.5e-3).abs() < 1e-15);
-        assert!(handle.same_clock(&queue.clock()));
-        assert!(handle.same_clock(&queue.without_faults().clock()));
         let other = Queue::timing_only(dev);
-        assert!(!handle.same_clock(&other.clock()));
         other.wait(7.0e-3);
-        let makespan = SimClock::max_now_s(&[handle, other.clock()]);
-        assert!((makespan - 7.0e-3).abs() < 1e-15);
+        for handle in &handles {
+            assert!((handle.now_s() - 2.5e-3).abs() < 1e-15);
+        }
+        assert!((other.clock().now_s() - 7.0e-3).abs() < 1e-15);
     }
 
     #[test]

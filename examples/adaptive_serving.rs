@@ -183,7 +183,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let t = online.cached().telemetry();
+    let t = online.cached().telemetry().snapshot();
     let stats = online.stats();
     println!(
         "\nonline layer after the swap: adaptive={}, {} shape-clusters, \
@@ -197,18 +197,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "telemetry: {} drift events, {} adaptive picks, {} reward updates \
          ({} launches, {} absorbed failures)",
-        t.drift_events(),
-        t.adaptive_picks(),
-        t.reward_updates(),
-        t.resilient_launches(),
-        t.launch_failures(),
+        t.drift_events, t.adaptive_picks, t.reward_updates, t.resilient_launches, t.launch_failures,
     );
 
     assert!(online.is_adaptive(), "the swap must be detected as drift");
-    assert!(t.drift_events() >= 1);
+    assert!(t.drift_events >= 1);
     assert!(online.generation() > generation_before);
     assert_eq!(
-        t.resilient_launches(),
+        t.resilient_launches,
         ((NANO_EPOCHS + EDGE_EPOCHS) * working_set.len()) as u64,
         "both executors count in the online layer's telemetry"
     );

@@ -7,7 +7,7 @@
 //! 1. **Steady state** — 8 producer threads submit mixed-priority
 //!    traffic (interactive / standard / batch) for five tenants into a
 //!    roomy queue. Everything is served; per-class end-to-end latency
-//!    comes out of the lock-free log2-bucket histograms, and every
+//!    comes out of the dispatcher's log2-bucket histograms, and every
 //!    shard's decision cache stays under its configured capacity.
 //! 2. **Overload** — the same producers flood a 16-slot queue with a
 //!    quota-limited noisy tenant in the mix. Excess load is shed with

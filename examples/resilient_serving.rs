@@ -112,24 +112,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let t = executor.selector().telemetry();
-    assert_eq!(t.resilient_launches(), completed as u64);
+    let t = executor.selector().telemetry().snapshot();
+    assert_eq!(t.resilient_launches, completed as u64);
     println!("\nall {completed} launches completed. resilience telemetry:");
     println!(
         "  {} failures absorbed across {} launches ({} retries)",
-        t.launch_failures(),
-        t.resilient_launches(),
-        t.retries()
+        t.launch_failures, t.resilient_launches, t.retries
     );
     println!(
         "  breaker trips: {}, quarantine skips: {}",
-        t.breaker_trips(),
-        t.quarantine_skips()
+        t.breaker_trips, t.quarantine_skips
     );
     println!(
         "  fallbacks: {} to the next-best config, {} to the reference GEMM",
-        t.fallback_next_best(),
-        t.fallback_reference()
+        t.fallback_next_best, t.fallback_reference
     );
     println!(
         "  doomed config {doomed} breaker state: {:?}; quarantined set: {:?}",

@@ -94,25 +94,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let served = served.elapsed();
 
-    let t = serving.telemetry();
+    let t = serving.telemetry().snapshot();
+    let decisions = t.hits + t.misses;
+    let picked: u64 = t.picks.iter().map(|p| p.count).sum();
     println!("served in {:.2} ms wall clock", served.as_secs_f64() * 1e3);
     println!(
-        "telemetry: {} hits / {} misses (hit rate {:.1}%), counters reconcile: {}",
-        t.hits(),
-        t.misses(),
-        t.hit_rate() * 100.0,
-        t.hits() + t.misses() == t.total()
+        "telemetry: {} hits / {} misses (hit rate {:.1}%), {picked} picks",
+        t.hits,
+        t.misses,
+        t.hits as f64 * 100.0 / decisions.max(1) as f64
     );
+    assert_eq!(
+        decisions,
+        (THREADS * REQUESTS_PER_THREAD) as u64,
+        "every decision is counted"
+    );
+    assert_eq!(picked, decisions, "every decision counts one pick");
     println!(
         "mean decision latency: {:.0} ns on a hit vs {:.0} ns on a miss ({:.0}x)",
-        t.mean_hit_nanos(),
-        t.mean_miss_nanos(),
-        t.mean_miss_nanos() / t.mean_hit_nanos().max(1.0)
+        t.mean_hit_nanos,
+        t.mean_miss_nanos,
+        t.mean_miss_nanos / t.mean_hit_nanos.max(1.0)
     );
     println!("picks per shipped kernel:");
-    for (config, count) in t.picks() {
-        if count > 0 {
-            println!("  config {config:>3}: {count} picks");
+    for pick in &t.picks {
+        if pick.count > 0 {
+            println!("  config {:>3}: {} picks", pick.config_index, pick.count);
         }
     }
 

@@ -106,6 +106,9 @@ if [ "${conc_ms}" -ge 60000 ]; then
     exit 1
 fi
 
+echo "==> serving cache example (cargo run --release --example serving_cache)"
+cargo run --release --example serving_cache
+
 echo "==> resilient serving example (cargo run --release --example resilient_serving)"
 cargo run --release --example resilient_serving
 

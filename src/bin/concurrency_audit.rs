@@ -8,7 +8,7 @@
 //!    bound `// atomic:role(...)` annotation whose role is consistent
 //!    with the memory orderings it uses, and the per-function
 //!    lock-acquisition graph must be acyclic. Any finding exits 1.
-//! 2. **Model checker self-check** — the three interleaving models
+//! 2. **Model checker self-check** — the two interleaving models
 //!    explore exhaustively and cleanly, and every seeded mutation is
 //!    caught. A clean model that fails, an incomplete exploration, or a
 //!    mutation that slips through exits 1.

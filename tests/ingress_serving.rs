@@ -350,6 +350,61 @@ fn eight_thread_ingress_serves_everything_with_exact_accounting() {
     }
 }
 
+/// A live report is consistent while the dispatcher serves: taken
+/// mid-stream, its per-class served counts always sum to `served`. The
+/// producers hold back half their requests until the reader has seen
+/// the stream part-served.
+#[test]
+fn live_reports_split_served_exactly_by_class() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let ingress = Ingress::start(
+        scheduler(bounded_fleet(128)),
+        IngressConfig {
+            queue_capacity: 8192,
+            dispatch_chunk: 16,
+            tenant_quota: TenantQuota { max_queued: 8192 },
+            ..IngressConfig::default()
+        },
+    );
+    let (producers, per_producer) = (4usize, 1000usize);
+    let total = (producers * per_producer) as u64;
+    let part_served = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for t in 0..producers {
+            let (handle, part_served) = (ingress.handle(), &part_served);
+            scope.spawn(move || {
+                for i in 0..per_producer {
+                    if i == per_producer / 2 {
+                        while !part_served.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    let index = t * per_producer + i;
+                    let priority = Priority::ALL[index % 3];
+                    let request = IngressRequest::new(request(index)).with_priority(priority);
+                    assert!(handle.submit(request).expect("open").is_enqueued());
+                }
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            assert!(Instant::now() < deadline, "the stream stalled");
+            let report = ingress.report();
+            let by_class: u64 = report.classes.iter().map(|c| c.served).sum();
+            assert_eq!(by_class, report.served, "classes must sum to served");
+            if report.served == total {
+                break;
+            }
+            if report.served > 0 {
+                part_served.store(true, Ordering::Release);
+            }
+        }
+    });
+    let (report, _) = ingress.finish().expect("dispatcher drains cleanly");
+    assert!(report.accounted());
+    assert_eq!(report.served, total);
+}
+
 /// One tenant with a quota of 1 flooding from 8 threads: overflow is
 /// shed with the typed `TenantQuota` reason, and the accounting
 /// identity still holds exactly — load is never silently dropped.

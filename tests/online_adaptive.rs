@@ -76,11 +76,11 @@ fn mirror_stage_is_bit_identical_over_the_paper_dataset() {
     }
 
     assert!(!online.is_adaptive(), "no drift was injected");
-    let t = online.cached().telemetry();
-    assert_eq!(t.adaptive_picks(), 0);
-    assert_eq!(t.drift_events(), 0);
+    let t = online.cached().telemetry().snapshot();
+    assert_eq!(t.adaptive_picks, 0);
+    assert_eq!(t.drift_events, 0);
     assert_eq!(
-        t.hits() + t.misses(),
+        t.hits + t.misses,
         paper_dataset().shapes.len() as u64,
         "mirror picks flow through the serving cache"
     );
@@ -142,7 +142,7 @@ proptest! {
         );
         prop_assert!(!online.stats().adaptive || online.stats().ph_statistic < 25.0);
         prop_assert_eq!(
-            online.cached().telemetry().drift_events(), 1,
+            online.cached().telemetry().snapshot().drift_events, 1,
             "a stationary stream must not re-trip drift"
         );
     }
@@ -185,12 +185,12 @@ fn stale_generation_reward_is_discarded_after_drift() {
     );
     assert_eq!(stats.ph_samples, 0, "the reset detector must stay empty");
     assert_eq!(
-        online.cached().telemetry().reward_updates(),
+        online.cached().telemetry().snapshot().reward_updates,
         0,
         "a discarded reward must not count as an update"
     );
     assert_eq!(
-        online.cached().telemetry().stale_rewards_dropped(),
+        online.cached().telemetry().snapshot().stale_rewards_dropped,
         2,
         "dropped rewards are counted, never silent"
     );
@@ -199,7 +199,7 @@ fn stale_generation_reward_is_discarded_after_drift() {
     let fresh_pick = online.select(&shape).expect("adaptive pick");
     online.record_success(&shape, fresh_pick, 123.0e-6, online.generation());
     assert_eq!(
-        online.cached().telemetry().reward_updates(),
+        online.cached().telemetry().snapshot().reward_updates,
         1,
         "a current-generation reward must be accepted"
     );
@@ -272,8 +272,9 @@ fn device_swap_drift_recovers_to_near_oracle_while_static_stays_below() {
         !online.is_adaptive(),
         "two epochs on the training device must not read as drift"
     );
-    assert_eq!(telemetry.drift_events(), 0);
-    assert_eq!(telemetry.adaptive_picks(), 0);
+    let t = telemetry.snapshot();
+    assert_eq!(t.drift_events, 0);
+    assert_eq!(t.adaptive_picks, 0);
     let generation_before = online.generation();
     let cached_before = online.cached().cached_shapes();
     assert!(cached_before > 0, "mirror picks memoise their shapes");
@@ -296,13 +297,14 @@ fn device_swap_drift_recovers_to_near_oracle_while_static_stays_below() {
         }
     }
 
-    assert!(telemetry.drift_events() >= 1, "drift must be recorded");
+    let t = telemetry.snapshot();
+    assert!(t.drift_events >= 1, "drift must be recorded");
     assert!(
-        telemetry.adaptive_picks() > 0,
+        t.adaptive_picks > 0,
         "post-drift picks come from the bandit"
     );
     assert!(
-        telemetry.reward_updates() > 0,
+        t.reward_updates > 0,
         "launch outcomes must feed the reward estimates"
     );
     assert!(

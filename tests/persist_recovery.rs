@@ -246,7 +246,7 @@ fn crash_recovery_reaches_oracle_in_a_tenth_of_cold_launches() {
         "the drift generation survives the restart"
     );
     assert!(
-        warm_exec.selector().telemetry().drift_events() >= 1,
+        warm_exec.selector().telemetry().snapshot().drift_events >= 1,
         "restart-spanning telemetry stays cumulative"
     );
 

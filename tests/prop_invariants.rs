@@ -180,7 +180,9 @@ proptest! {
                 shape
             );
         }
-        let t = fresh.telemetry();
-        prop_assert_eq!(t.hits() + t.misses(), t.total());
+        let t = fresh.telemetry().snapshot();
+        let picked: u64 = t.picks.iter().map(|p| p.count).sum();
+        prop_assert_eq!(t.hits + t.misses, 5 * shapes.len() as u64);
+        prop_assert_eq!(picked, t.hits + t.misses);
     }
 }

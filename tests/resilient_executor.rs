@@ -175,14 +175,14 @@ fn eight_threads_of_faulty_traffic_all_complete_with_correct_results() {
         }
     });
 
-    let telemetry = executor.selector().telemetry();
+    let telemetry = executor.selector().telemetry().snapshot();
     let total = (THREADS * LAUNCHES_PER_THREAD) as u64;
-    assert_eq!(telemetry.resilient_launches(), total);
+    assert_eq!(telemetry.resilient_launches, total);
     assert!(
-        telemetry.launch_failures() > 0,
+        telemetry.launch_failures > 0,
         "a 30% fault rate must produce failures over {total} launches"
     );
-    assert!(telemetry.retries() > 0, "transient faults must be retried");
+    assert!(telemetry.retries > 0, "transient faults must be retried");
 }
 
 #[test]
@@ -235,19 +235,19 @@ fn paper_dataset_run_survives_faults_and_quarantines_the_bad_config() {
     }
 
     // Every launch completed; the doomed config is quarantined.
-    let telemetry = executor.selector().telemetry();
-    assert_eq!(telemetry.resilient_launches(), shapes.len() as u64);
-    assert!(telemetry.retries() > 0, "transient faults must be retried");
+    let telemetry = executor.selector().telemetry().snapshot();
+    assert_eq!(telemetry.resilient_launches, shapes.len() as u64);
+    assert!(telemetry.retries > 0, "transient faults must be retried");
     assert!(
-        telemetry.breaker_trips() >= 1,
+        telemetry.breaker_trips >= 1,
         "the doomed config must trip its breaker"
     );
     assert!(
-        telemetry.quarantine_skips() > 0,
+        telemetry.quarantine_skips > 0,
         "later picks of the doomed config are skipped"
     );
     assert!(
-        telemetry.fallback_next_best() > 0,
+        telemetry.fallback_next_best > 0,
         "doomed picks must fall back"
     );
     assert!(degraded > 0);
@@ -258,7 +258,7 @@ fn paper_dataset_run_survives_faults_and_quarantines_the_bad_config() {
     );
 
     // The trace shows the failures and the fallbacks.
-    assert_eq!(trace.failed_launches() as u64, telemetry.launch_failures());
+    assert_eq!(trace.failed_launches() as u64, telemetry.launch_failures);
     assert!(trace.failed_launches() > 0);
     assert_eq!(trace.degraded_launches(), degraded);
     let json = trace.to_chrome_trace();
@@ -363,15 +363,107 @@ fn an_attached_online_layer_owns_every_counter() {
             .expect("launch completes");
     }
     assert!(std::ptr::eq(executor.selector(), online.cached()));
-    let telemetry = online.cached().telemetry();
-    assert_eq!(telemetry.resilient_launches(), LAUNCHES as u64);
+    let telemetry = online.cached().telemetry().snapshot();
+    assert_eq!(telemetry.resilient_launches, LAUNCHES as u64);
     assert_eq!(
-        telemetry.total(),
+        telemetry.hits + telemetry.misses,
         LAUNCHES as u64,
         "one decision per launch"
     );
-    assert_eq!(own.telemetry().resilient_launches(), 0);
-    assert_eq!(own.telemetry().total(), 0);
+    let own = own.telemetry().snapshot();
+    assert_eq!(own.resilient_launches, 0);
+    assert_eq!(own.hits + own.misses, 0);
+}
+
+/// Every telemetry capture is consistent while the block is being
+/// written: seven threads launch through one mirror-stage executor,
+/// single and in batches, while an eighth keeps taking `snapshot()` and
+/// `export_state()`. Each capture must see the picks sum to `hits +
+/// misses`, and no more launches than decisions. The launchers keep
+/// going until the reader has captured often, so every check runs
+/// mid-stream.
+#[test]
+fn telemetry_captures_are_consistent_while_serving() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const LAUNCHERS: usize = 7;
+    const ROUNDS: usize = 100;
+    const CAPTURES: usize = 200;
+    let (executor, online) = small_pipeline()
+        .adaptive_executor(
+            Queue::timing_only(Arc::new(DeviceSpec::amd_r9_nano())),
+            ResilientPolicy::default(),
+            OnlineConfig::default(),
+        )
+        .expect("executor builds");
+    let telemetry = executor.selector().telemetry();
+    let captured = AtomicUsize::new(0);
+    let check = |hits: u64, misses: u64, picks: u64, launches: u64, adaptive: u64| {
+        assert_eq!(picks, hits + misses, "picks must sum to hits + misses");
+        assert!(
+            launches <= hits + misses + adaptive,
+            "{launches} launches counted before their decisions ({hits} + {misses} + {adaptive})"
+        );
+    };
+    let launches: u64 = std::thread::scope(|scope| {
+        let launchers: Vec<_> = (0..LAUNCHERS)
+            .map(|t| {
+                let (executor, captured) = (&executor, &captured);
+                scope.spawn(move || {
+                    let mut launches = 0u64;
+                    let mut round = 0;
+                    while round < ROUNDS || captured.load(Ordering::Acquire) < CAPTURES {
+                        let index = t + round;
+                        let (a, b, c) = &diff_operands()[index % DIFF_POOL.len()];
+                        if round % 2 == 0 {
+                            executor
+                                .launch(diff_shape(index), a, b, c)
+                                .expect("launch completes");
+                            launches += 1;
+                        } else {
+                            let operands = std::iter::repeat_n((a, b, c), 4);
+                            executor
+                                .launch_batch(diff_shape(index), operands, |_| {
+                                    ControlFlow::Continue(())
+                                })
+                                .expect("batch completes");
+                            launches += 4;
+                        }
+                        round += 1;
+                    }
+                    launches
+                })
+            })
+            .collect();
+        while !launchers.iter().all(|launcher| launcher.is_finished()) {
+            let snap = telemetry.snapshot();
+            let picks = snap.picks.iter().map(|p| p.count).sum();
+            check(
+                snap.hits,
+                snap.misses,
+                picks,
+                snap.resilient_launches,
+                snap.adaptive_picks,
+            );
+            let state = telemetry.export_state();
+            let picks = state.picks.iter().sum();
+            check(
+                state.hits,
+                state.misses,
+                picks,
+                state.resilient_launches,
+                state.adaptive_picks,
+            );
+            captured.fetch_add(1, Ordering::Release);
+        }
+        launchers
+            .into_iter()
+            .map(|launcher| launcher.join().expect("launcher finishes"))
+            .sum()
+    });
+    assert!(!online.is_adaptive(), "no drift on a fault-free queue");
+    let snap = telemetry.snapshot();
+    assert_eq!(snap.resilient_launches, launches);
+    assert_eq!(snap.hits + snap.misses, launches);
 }
 
 /// The fallback-chain pruning an executor counted at construction moves
@@ -383,14 +475,22 @@ fn with_online_carries_the_chain_pruning_count() {
     let executor = pipeline
         .device_executor(edge, ResilientPolicy::default())
         .expect("executor builds");
-    let pruned = executor.selector().telemetry().fallback_skipped_invalid();
+    let pruned = executor
+        .selector()
+        .telemetry()
+        .snapshot()
+        .fallback_skipped_invalid;
     assert!(pruned > 0, "the edge DSP rejects part of the shipped set");
     let online = pipeline
         .online_selector(OnlineConfig::default())
         .expect("online layer builds");
     let _executor = executor.with_online(Arc::clone(&online));
     assert_eq!(
-        online.cached().telemetry().fallback_skipped_invalid(),
+        online
+            .cached()
+            .telemetry()
+            .snapshot()
+            .fallback_skipped_invalid,
         pruned
     );
 }
@@ -612,10 +712,10 @@ proptest! {
         let single_reports = serve_one_by_one(&single, &batches);
         assert_same_reports(&batched_reports, &single_reports)?;
         assert_same_state(&batched, &single)?;
-        let telemetry = batched.selector().telemetry();
+        let telemetry = batched.selector().telemetry().snapshot();
         prop_assert_eq!(
-            telemetry.hits() + telemetry.misses(),
-            telemetry.resilient_launches(),
+            telemetry.hits + telemetry.misses,
+            telemetry.resilient_launches,
             "every launch counts one decision"
         );
     }

@@ -77,18 +77,17 @@ fn concurrent_selection_is_coherent_and_reconciles() {
         }
     });
 
-    let t = cached.telemetry();
+    let t = cached.telemetry().snapshot();
     let total = (THREADS * SELECTIONS_PER_THREAD) as u64;
-    assert_eq!(t.total(), total, "every selection must be counted");
-    assert_eq!(t.hits() + t.misses(), total, "counters must reconcile");
+    assert_eq!(t.hits + t.misses, total, "every selection must be counted");
     // Each distinct shape misses at least once; concurrent first
     // touches may miss more than once (benign race), but never more
     // often than total threads per shape.
-    assert!(t.misses() >= shapes.len() as u64);
-    assert!(t.misses() <= (shapes.len() * THREADS) as u64);
-    assert!(t.hits() > 0, "warm traffic must produce hits");
+    assert!(t.misses >= shapes.len() as u64);
+    assert!(t.misses <= (shapes.len() * THREADS) as u64);
+    assert!(t.hits > 0, "warm traffic must produce hits");
     assert_eq!(cached.cached_shapes(), shapes.len());
-    let picked: u64 = t.picks().iter().map(|&(_, n)| n).sum();
+    let picked: u64 = t.picks.iter().map(|p| p.count).sum();
     assert_eq!(picked, total, "every selection picks a shipped config");
 }
 

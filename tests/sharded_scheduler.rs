@@ -347,7 +347,10 @@ fn every_member_of_a_coalesced_batch_computes_its_own_product() {
     );
     assert!(report.devices.iter().all(|d| d.served > 0));
     let next_best = sched.shard(0).unwrap().executor().selector().telemetry();
-    assert!(next_best.fallback_next_best() > 0, "next-best rung ran");
+    assert!(
+        next_best.snapshot().fallback_next_best > 0,
+        "next-best rung ran"
+    );
     assert!(
         report.devices[1].reference_fallbacks > 0,
         "reference rung ran"

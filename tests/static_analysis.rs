@@ -296,7 +296,6 @@ fn fallback_chain_excludes_invalid_and_dominated_configs() {
         &[dominator_idx],
         "only the undominated, launchable config survives"
     );
-    assert_eq!(serving.telemetry().fallback_skipped_invalid(), 2);
     assert_eq!(serving.telemetry().snapshot().fallback_skipped_invalid, 2);
 }
 
@@ -344,7 +343,7 @@ fn invalid_primary_pick_is_skipped_without_a_launch_attempt() {
     assert!(!report.event.is_failed());
     assert_eq!(report.decision.fallback, FallbackLevel::NextBest(1));
     assert_eq!(report.config.map(|c| c.index()), Some(valid_idx));
-    assert!(serving.telemetry().fallback_skipped_invalid() >= 1);
+    assert!(serving.telemetry().snapshot().fallback_skipped_invalid >= 1);
 
     let (av, bv) = (a.to_vec(), b.to_vec());
     let mut expect = vec![0.0f32; shape.m * shape.n];
