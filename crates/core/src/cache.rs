@@ -18,6 +18,7 @@
 //!   in production and exactly what you need to see whether the
 //!   shipped set still matches the traffic mix.
 
+use crate::mix::MixMap;
 use crate::persist::{BloomState, CacheEntryState, CacheRestoreStats, CacheShardState, CacheState};
 use crate::select::Selector;
 use crate::telemetry::SelectionTelemetry;
@@ -59,15 +60,17 @@ impl CountingBloom {
         }
     }
 
-    /// The probe index sequence for `shape`: double hashing from the
-    /// two halves of the stable 64-bit shape hash.
-    fn probe(&self, shape: &GemmShape, i: u32) -> usize {
+    /// The `hashes` counter indices `shape` probes among `len`: double
+    /// hashing from the two halves of the stable 64-bit shape hash,
+    /// which is computed once for all the probes.
+    fn probes(shape: &GemmShape, hashes: u32, len: usize) -> impl Iterator<Item = usize> {
         let h = shape.stable_hash();
         let h1 = h ^ (h >> 32);
         // Odd multiplier keeps the stride co-prime with power-of-two
         // table sizes; |1 guards the degenerate zero stride.
         let h2 = (h >> 17).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        (h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.counters.len() as u64) as usize
+        (0..hashes)
+            .map(move |i| (h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % len as u64) as usize)
     }
 
     /// Count one occurrence of `shape` and return the *new* estimated
@@ -77,8 +80,7 @@ impl CountingBloom {
     pub fn observe(&mut self, shape: &GemmShape) -> u8 {
         self.observed += 1;
         let mut min = u8::MAX;
-        for i in 0..self.hashes {
-            let idx = self.probe(shape, i);
+        for idx in Self::probes(shape, self.hashes, self.counters.len()) {
             if let Some(counter) = self.counters.get_mut(idx) {
                 *counter = counter.saturating_add(1);
                 min = min.min(*counter);
@@ -91,8 +93,7 @@ impl CountingBloom {
     /// an over-estimate with Bloom false-positive probability).
     pub fn estimate(&self, shape: &GemmShape) -> u8 {
         let mut min = u8::MAX;
-        for i in 0..self.hashes {
-            let idx = self.probe(shape, i);
+        for idx in Self::probes(shape, self.hashes, self.counters.len()) {
             if let Some(&counter) = self.counters.get(idx) {
                 min = min.min(counter);
             }
@@ -160,8 +161,9 @@ struct Node {
 /// eviction each relink O(1) nodes and a hit allocates nothing.
 #[derive(Debug, Default)]
 struct Table {
-    /// Shape → its node's slot in `nodes`.
-    index: HashMap<GemmShape, usize>,
+    /// Shape → its node's slot in `nodes`, on the keyed
+    /// [`crate::mix`] hasher. Never iterated: exports walk `nodes`.
+    index: MixMap<GemmShape, usize>,
     /// One node per entry. An evicted node's slot is reused at once by
     /// the entry that evicted it, so no slot is ever vacant.
     nodes: Vec<Node>,

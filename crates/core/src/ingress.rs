@@ -44,12 +44,12 @@
 //! (`tests/ingress_serving.rs` and the `micro_ingress` bench pin
 //! this).
 
+use crate::mix::MixMap;
 use crate::persist::{RestoreOutcome, Snapshot, SnapshotterConfig};
 use crate::sched::{GemmRequest, ShardedScheduler};
 use crate::telemetry::LatencyHistogram;
 use crate::{CoreError, Result};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -228,7 +228,7 @@ struct Envelope {
 /// the snapshotter's write counts. Settled under one lock once per
 /// chunk (and once per snapshot write), so a live report sees the
 /// served counts and their per-class split agree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Settled {
     served: u64,
     class_served: [u64; PRIORITY_CLASSES],
@@ -248,8 +248,10 @@ struct Shared {
     class_submitted: [AtomicU64; PRIORITY_CLASSES],
     class_shed: [AtomicU64; PRIORITY_CLASSES],
     settled: Mutex<Settled>,
-    /// Requests currently queued, per tenant.
-    tenants: Mutex<HashMap<u32, usize>>,
+    /// Requests currently queued, per tenant, on the keyed
+    /// [`crate::mix`] hasher: tenant ids are caller-chosen. Never
+    /// iterated.
+    tenants: Mutex<MixMap<u32, usize>>,
     /// Queue occupancy for Batch-headroom admission (std's channel has
     /// no `len`): `submit` reserves a slot with `fetch_add` before it
     /// sends, and the dispatcher releases a chunk's slots on dequeue.
@@ -282,7 +284,7 @@ impl Shared {
             class_submitted: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             class_shed: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             settled: Mutex::new(Settled::default()),
-            tenants: Mutex::new(HashMap::new()),
+            tenants: Mutex::new(MixMap::default()),
             queued: AtomicUsize::new(0),
             shed_shutdown: AtomicU64::new(0),
             drain_deadline: Mutex::new(None),
@@ -718,40 +720,47 @@ impl Drop for Ingress {
     }
 }
 
+/// Read the accounting: the settled counts and each class's latency
+/// quantiles are computed under one hold of the settled lock, without
+/// copying the histograms out.
 fn report_from(shared: &Shared, waves: u64, fleet_degraded: bool) -> IngressReport {
-    let settled = shared.settled.lock().clone();
-    let classes = Priority::ALL
-        .iter()
-        .map(|&p| {
-            let i = p.index();
-            let load = |c: &[AtomicU64; PRIORITY_CLASSES]| {
-                c.get(i).map(|v| v.load(Ordering::Relaxed)).unwrap_or(0) // atomic:role(counter)
-            };
-            let (p50, p99) = settled
-                .latency
-                .get(i)
-                .map(|h| (h.p50(), h.p99()))
-                .unwrap_or((0.0, 0.0));
-            ClassReport {
-                class: i as u64,
-                submitted: load(&shared.class_submitted),
-                served: settled.class_served.get(i).copied().unwrap_or(0),
-                shed: load(&shared.class_shed),
-                p50_ns: p50,
-                p99_ns: p99,
-            }
-        })
-        .collect();
+    let mut classes = Vec::with_capacity(PRIORITY_CLASSES);
+    let settled = shared.settled.lock();
+    for p in Priority::ALL {
+        let i = p.index();
+        let load = |c: &[AtomicU64; PRIORITY_CLASSES]| {
+            c.get(i).map(|v| v.load(Ordering::Relaxed)).unwrap_or(0) // atomic:role(counter)
+        };
+        let (p50, p99) = settled
+            .latency
+            .get(i)
+            .map(|h| (h.p50(), h.p99()))
+            .unwrap_or((0.0, 0.0));
+        classes.push(ClassReport {
+            class: i as u64,
+            submitted: load(&shared.class_submitted),
+            served: settled.class_served.get(i).copied().unwrap_or(0),
+            shed: load(&shared.class_shed),
+            p50_ns: p50,
+            p99_ns: p99,
+        });
+    }
+    let (served, snapshots_written, snapshot_errors) = (
+        settled.served,
+        settled.snapshots_written,
+        settled.snapshot_errors,
+    );
+    drop(settled);
     IngressReport {
         submitted: shared.submitted.load(Ordering::Relaxed), // atomic:role(counter)
         enqueued: shared.enqueued.load(Ordering::Relaxed),   // atomic:role(counter)
-        served: settled.served,
+        served,
         shed_tenant_quota: shared.shed_tenant.load(Ordering::Relaxed), // atomic:role(counter)
         shed_queue_full: shared.shed_queue.load(Ordering::Relaxed),    // atomic:role(counter)
         shed_deadline: shared.shed_deadline.load(Ordering::Relaxed),   // atomic:role(counter)
         shed_shutdown: shared.shed_shutdown.load(Ordering::Relaxed),   // atomic:role(counter)
-        snapshots_written: settled.snapshots_written,
-        snapshot_errors: settled.snapshot_errors,
+        snapshots_written,
+        snapshot_errors,
         classes,
         waves,
         fleet_degraded,

@@ -44,6 +44,7 @@ pub mod dataset;
 pub mod evaluate;
 pub mod ingress;
 pub mod libsize;
+mod mix;
 pub mod online;
 pub mod persist;
 pub mod pipeline;

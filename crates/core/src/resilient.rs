@@ -562,10 +562,9 @@ impl ResilientExecutor {
             let config =
                 KernelConfig::from_index(cfg_idx).ok_or(CoreError::BadConfigIndex(cfg_idx))?;
             let kernel = TiledGemmKernel::new(config, shape, a, b, c)?;
-            let range = kernel.preferred_range()?;
-            // Profile, price and name depend only on (shape, config,
-            // device): the primary keeps its prepared launch for the
-            // whole batch, a fallback candidate for its own attempts.
+            // Range, profile, price and name depend only on (shape,
+            // config, device): the primary keeps its prepared launch for
+            // the whole batch, a fallback candidate for its own attempts.
             let mut fallback_launch = None;
             let mut backoff_s = self.policy.base_backoff_s;
 
@@ -576,16 +575,20 @@ impl ResilientExecutor {
                         break; // quarantined: next candidate
                     }
                 }
-                let prepared = if depth == 0 && primary_ok {
+                let slot = if depth == 0 && primary_ok {
                     &mut batch.primary
                 } else {
                     &mut fallback_launch
                 };
-                let submitted =
-                    match prepared.get_or_insert_with(|| self.queue.prepare(&kernel, range)) {
-                        Ok(launch) => self.queue.submit_prepared(launch, &kernel, &[]),
-                        Err(error) => Err(error.clone()),
-                    };
+                let prepared = match slot.take() {
+                    Some(prepared) => prepared,
+                    None => self.queue.prepare(&kernel, kernel.preferred_range()?),
+                };
+                let submitted = match &prepared {
+                    Ok(launch) => self.queue.submit_prepared(launch, &kernel, &[]),
+                    Err(error) => Err(error.clone()),
+                };
+                *slot = Some(prepared);
                 match submitted {
                     Ok(event) => {
                         if let Some(breaker) = breaker {

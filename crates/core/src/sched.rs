@@ -57,13 +57,14 @@
 //! the shard configuration, which `tests/sharded_scheduler.rs` pins
 //! with a property test replaying random streams on fresh fleets.
 
+use crate::mix::MixMap;
 use crate::resilient::{LaunchReport, ResilientExecutor};
 use crate::{CoreError, Result};
 use autokernel_analyze::SpaceAnalysis;
 use autokernel_gemm::GemmShape;
 use autokernel_sycl_sim::trace::TraceRecorder;
 use autokernel_sycl_sim::{Buffer, Event, LaunchDecision, SimClock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 /// How the scheduler picks a device for each batch.
@@ -328,12 +329,98 @@ impl SchedReport {
     }
 }
 
-/// A same-shape, same-class run of requests, the unit of routing.
-#[derive(Debug, Clone)]
+/// A same-shape, same-class run of requests, the unit of routing. Its
+/// members are the request indices `members[start..start + len]` of the
+/// scheduler's [`Coalescer`].
+#[derive(Debug, Clone, Copy)]
 struct Batch {
     shape: GemmShape,
     class: u16,
-    requests: Vec<usize>,
+    start: usize,
+    len: usize,
+}
+
+/// Coalescing state the scheduler keeps from chunk to chunk, so that
+/// grouping a chunk into batches allocates nothing once the buffers
+/// have grown to the chunk size.
+#[derive(Default)]
+struct Coalescer {
+    /// The open batch of each (shape, class): its position in the
+    /// pending queue. Never iterated.
+    open: MixMap<(GemmShape, u16), usize>,
+    /// Each request's batch, in request order.
+    batch_of: Vec<usize>,
+    /// Every batch's member request indices, batch after batch, in
+    /// arrival order within a batch.
+    members: Vec<usize>,
+}
+
+impl Coalescer {
+    /// Group `requests` into same-shape, same-class batches of at most
+    /// `window` requests, appended to the empty `batches` in
+    /// first-arrival order, and return how many requests joined an
+    /// already-open batch. Class is part of the key on purpose: a batch
+    /// routes and is admitted as a unit, and a low-priority request
+    /// must not inherit the admission a high-priority sibling earned.
+    ///
+    /// Two passes: the first sizes the batches and records each
+    /// request's batch, the second places each request index at its
+    /// batch's next member slot.
+    fn coalesce(
+        &mut self,
+        requests: &[GemmRequest],
+        window: usize,
+        batches: &mut VecDeque<Batch>,
+    ) -> u64 {
+        self.open.clear();
+        self.batch_of.clear();
+        let mut batched = 0;
+        for request in requests {
+            let key = (request.shape, request.class);
+            let open = self.open.get(&key).copied();
+            match open.and_then(|b| Some((b, batches.get_mut(b)?))) {
+                Some((b, batch)) if batch.len < window => {
+                    batch.len += 1;
+                    self.batch_of.push(b);
+                    batched += 1;
+                }
+                _ => {
+                    self.open.insert(key, batches.len());
+                    self.batch_of.push(batches.len());
+                    batches.push_back(Batch {
+                        shape: request.shape,
+                        class: request.class,
+                        start: 0,
+                        len: 1,
+                    });
+                }
+            }
+        }
+        // Each batch's members follow the previous batch's; `len`
+        // counts the members placed so far while the second pass runs.
+        let mut start = 0;
+        for batch in batches.iter_mut() {
+            batch.start = start;
+            start += batch.len;
+            batch.len = 0;
+        }
+        self.members.clear();
+        self.members.resize(requests.len(), 0);
+        for (index, &b) in self.batch_of.iter().enumerate() {
+            if let Some(batch) = batches.get_mut(b) {
+                if let Some(slot) = self.members.get_mut(batch.start + batch.len) {
+                    *slot = index;
+                }
+                batch.len += 1;
+            }
+        }
+        batched
+    }
+
+    /// The request indices of `batch`.
+    fn members(&self, batch: &Batch) -> Option<&[usize]> {
+        self.members.get(batch.start..batch.start + batch.len)
+    }
 }
 
 /// What one device's queue drain hands back after a wave.
@@ -367,6 +454,9 @@ impl WaveOutcome {
 struct ShardState {
     shard: DeviceShard,
     alive: bool,
+    /// The batches routed to this device in the current wave, in order;
+    /// the buffer is reused from wave to wave.
+    queue: Vec<Batch>,
     served: u64,
     batches: u64,
     reference_fallbacks: u64,
@@ -396,6 +486,9 @@ pub struct ShardedScheduler {
     rr_cursor: usize,
     /// Source of `ShardState::condemned_seq` stamps.
     condemn_counter: u64,
+    coalescer: Coalescer,
+    /// Batches not yet routed, in stream order.
+    pending: VecDeque<Batch>,
 }
 
 impl ShardedScheduler {
@@ -413,6 +506,7 @@ impl ShardedScheduler {
                     ShardState {
                         shard,
                         alive: true,
+                        queue: Vec::new(),
                         served: 0,
                         batches: 0,
                         reference_fallbacks: 0,
@@ -427,6 +521,8 @@ impl ShardedScheduler {
             telemetry: SchedTelemetry::default(),
             rr_cursor,
             condemn_counter: 0,
+            coalescer: Coalescer::default(),
+            pending: VecDeque::new(),
         })
     }
 
@@ -593,13 +689,16 @@ impl ShardedScheduler {
             })
             .collect();
         let collect_trace = trace.is_some();
-        let mut pending = self.coalesce(requests);
-        let mut assignments: Vec<Assignment> = Vec::new();
+        let meltdown = self.config.meltdown_threshold.max(1);
+        let window = self.config.batch_window.max(1);
+        self.pending.clear();
+        self.telemetry.batched += self.coalescer.coalesce(requests, window, &mut self.pending);
+        let mut assignments: Vec<Assignment> = Vec::with_capacity(self.pending.len());
         let mut waves = 0usize;
         let mut served = 0usize;
         let mut fleet_degraded = false;
 
-        while !pending.is_empty() {
+        while !self.pending.is_empty() {
             waves += 1;
             self.telemetry.waves += 1;
 
@@ -609,32 +708,33 @@ impl ShardedScheduler {
             // instead of looping over empty waves forever.
             if self.shards.iter().all(|s| !s.alive) {
                 return Err(CoreError::FleetMeltdown {
-                    degraded: pending.iter().map(|b| b.requests.len()).sum(),
+                    degraded: self.pending.iter().map(|b| b.len).sum(),
                 });
             }
 
             // Plan phase: route batches onto bounded per-device queues.
             // Device clocks are quiescent here, so the plan is a pure
             // function of stream, seed and state.
-            let mut wave_queues: Vec<Vec<Batch>> = self.shards.iter().map(|_| Vec::new()).collect();
             for state in &mut self.shards {
                 state.planned_s = 0.0;
+                state.queue.clear();
             }
-            while let Some(batch) = pending.pop_front() {
-                let Some((device, stolen)) = self.route(&batch, &wave_queues) else {
+            while let Some(batch) = self.pending.pop_front() {
+                let Some((device, stolen)) = self.route(&batch) else {
                     // Every live queue is full: backpressure. The rest
                     // of the stream waits for the next wave.
-                    pending.push_front(batch);
+                    self.pending.push_front(batch);
                     break;
                 };
                 let cost = self.planned_cost(device, &batch);
                 if let Some(state) = self.shards.get_mut(device) {
                     state.planned_s += cost;
+                    state.queue.push(batch);
                 }
                 assignments.push(Assignment {
                     shape: batch.shape,
                     class: batch.class,
-                    requests: batch.requests.len(),
+                    requests: batch.len,
                     device,
                     stolen,
                 });
@@ -642,19 +742,22 @@ impl ShardedScheduler {
                 if stolen {
                     self.telemetry.stolen += 1;
                 }
-                if let Some(queue) = wave_queues.get_mut(device) {
-                    queue.push(batch);
-                }
             }
 
-            // Execute phase: each device drains its own queue in order,
-            // on this thread.
-            let outcomes = self.execute_wave(requests, &wave_queues, collect_trace)?;
-
-            // Merge phase (shard order): counters, traces, health
-            // transitions, rebalancing.
+            // Execute and merge, shard by shard on this thread: each
+            // device drains its own queue in order, then its counters,
+            // traces, health transitions and rebalancing merge. No
+            // device's drain reads what another's merge writes.
             let mut rebalanced: Vec<Batch> = Vec::new();
-            for (index, (state, outcome)) in self.shards.iter_mut().zip(outcomes).enumerate() {
+            for (index, state) in self.shards.iter_mut().enumerate() {
+                let outcome = drain_queue(
+                    &state.shard.executor,
+                    &state.queue,
+                    &self.coalescer,
+                    requests,
+                    meltdown,
+                    collect_trace,
+                )?;
                 state.served += outcome.served;
                 state.batches += outcome.batches_done;
                 state.flops_done += outcome.flops_done;
@@ -679,11 +782,7 @@ impl ShardedScheduler {
                     state.condemned_seq = self.condemn_counter;
                 }
                 if !outcome.leftovers.is_empty() {
-                    let moved: u64 = outcome
-                        .leftovers
-                        .iter()
-                        .map(|b| b.requests.len() as u64)
-                        .sum();
+                    let moved: u64 = outcome.leftovers.iter().map(|b| b.len as u64).sum();
                     self.telemetry.rebalanced += moved;
                     rebalanced.extend(outcome.leftovers);
                 }
@@ -720,7 +819,7 @@ impl ShardedScheduler {
             // Re-routed batches go to the head of the stream so drained
             // work is recovered before new work is admitted.
             for batch in rebalanced.into_iter().rev() {
-                pending.push_front(batch);
+                self.pending.push_front(batch);
             }
         }
 
@@ -751,40 +850,10 @@ impl ShardedScheduler {
         })
     }
 
-    /// Coalesce the stream into same-shape, same-class batches,
-    /// preserving first-arrival order and capping each batch at
-    /// `batch_window`. Class is part of the key on purpose: a batch
-    /// routes and is admitted as a unit, and a low-priority request
-    /// must not inherit the admission a high-priority sibling earned.
-    fn coalesce(&mut self, requests: &[GemmRequest]) -> VecDeque<Batch> {
-        let window = self.config.batch_window.max(1);
-        let mut order: Vec<Batch> = Vec::new();
-        let mut open: HashMap<(GemmShape, u16), usize> = HashMap::new();
-        for (index, request) in requests.iter().enumerate() {
-            let key = (request.shape, request.class);
-            let slot = open.get(&key).copied();
-            match slot.and_then(|s| order.get_mut(s)) {
-                Some(batch) if batch.requests.len() < window => {
-                    batch.requests.push(index);
-                    self.telemetry.batched += 1;
-                }
-                _ => {
-                    open.insert(key, order.len());
-                    order.push(Batch {
-                        shape: request.shape,
-                        class: request.class,
-                        requests: vec![index],
-                    });
-                }
-            }
-        }
-        order.into()
-    }
-
     /// Pick a device for `batch`: the policy's choice if it has queue
     /// capacity, else a steal to the fullest-capacity survivor, else
     /// `None` (every live queue is full).
-    fn route(&mut self, batch: &Batch, wave_queues: &[Vec<Batch>]) -> Option<(usize, bool)> {
+    fn route(&mut self, batch: &Batch) -> Option<(usize, bool)> {
         let capacity = self.config.queue_capacity.max(1);
         let shards = &self.shards;
         // Live shard indices, ascending; iterated in place, so routing
@@ -800,7 +869,7 @@ impl ShardedScheduler {
         if live == 0 {
             return None;
         }
-        let queued = |i: usize| wave_queues.get(i).map(Vec::len).unwrap_or(capacity);
+        let queued = |i: usize| shards.get(i).map_or(capacity, |s| s.queue.len());
         let preferred = match self.config.policy {
             RoutingPolicy::RoundRobin => {
                 let pick = alive().nth(self.rr_cursor % live).unwrap_or(0);
@@ -857,7 +926,7 @@ impl ShardedScheduler {
     /// cruder than the simulator — it must be computable without
     /// touching the device.
     fn estimate(&self, state: &ShardState, batch: &Batch) -> f64 {
-        let n = batch.requests.len() as f64;
+        let n = batch.len as f64;
         let elapsed = state.shard.clock.now_s() - state.clock_origin;
         let rate = if state.flops_done > 0.0 && elapsed > 0.0 {
             state.flops_done / elapsed
@@ -868,31 +937,6 @@ impl ShardedScheduler {
             }
         };
         n * (batch.shape.flops() / rate.max(1.0) + state.shard.launch_overhead_s)
-    }
-
-    /// Run one wave's per-device queues on the calling thread, in shard
-    /// order. Every cross-device interaction happens at the wave
-    /// boundary, so the order does not change any device's outcome.
-    fn execute_wave(
-        &self,
-        requests: &[GemmRequest],
-        wave_queues: &[Vec<Batch>],
-        collect_trace: bool,
-    ) -> Result<Vec<WaveOutcome>> {
-        let meltdown = self.config.meltdown_threshold.max(1);
-        self.shards
-            .iter()
-            .zip(wave_queues)
-            .map(|(state, batches)| {
-                drain_queue(
-                    &state.shard.executor,
-                    batches,
-                    requests,
-                    meltdown,
-                    collect_trace,
-                )
-            })
-            .collect()
     }
 }
 
@@ -905,6 +949,7 @@ impl ShardedScheduler {
 fn drain_queue(
     executor: &ResilientExecutor,
     batches: &[Batch],
+    coalescer: &Coalescer,
     requests: &[GemmRequest],
     meltdown_threshold: u32,
     collect_trace: bool,
@@ -912,13 +957,15 @@ fn drain_queue(
     let mut outcome = WaveOutcome::empty();
     let mut consecutive_reference = 0u32;
     for (position, batch) in batches.iter().enumerate() {
-        if let Some(&bad) = batch.requests.iter().find(|&&i| i >= requests.len()) {
+        let indices = coalescer
+            .members(batch)
+            .ok_or_else(|| CoreError::Dataset("batch members out of range".into()))?;
+        if let Some(&bad) = indices.iter().find(|&&i| i >= requests.len()) {
             return Err(CoreError::Dataset(format!(
                 "request index {bad} out of range"
             )));
         }
-        let members = batch
-            .requests
+        let members = indices
             .iter()
             .filter_map(|&i| requests.get(i))
             .map(|request| (&request.a, &request.b, &request.c));
@@ -949,22 +996,17 @@ fn drain_queue(
         })?;
         if consecutive_reference >= meltdown_threshold {
             outcome.melted = true;
-            let remaining: Vec<usize> = batch
-                .requests
-                .iter()
-                .skip(served_in_batch)
-                .copied()
-                .collect();
-            if !remaining.is_empty() {
+            let served = served_in_batch.min(batch.len);
+            if served < batch.len {
                 outcome.leftovers.push(Batch {
-                    shape: batch.shape,
-                    class: batch.class,
-                    requests: remaining,
+                    start: batch.start + served,
+                    len: batch.len - served,
+                    ..*batch
                 });
             }
             outcome
                 .leftovers
-                .extend(batches.iter().skip(position + 1).cloned());
+                .extend(batches.iter().skip(position + 1).copied());
             return Ok(outcome);
         }
         outcome.batches_done += 1;

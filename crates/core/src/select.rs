@@ -209,21 +209,6 @@ impl Selector {
         }
     }
 
-    // lint:allow-fn(no-alloc) model-run path: executes once per distinct shape
-    // (cache misses only), and the Matrix API takes owned rows
-    fn featurise_shape(&self, shape: &GemmShape) -> Result<Matrix> {
-        let raw = match self.space {
-            FeatureSpace::RawSizes => shape.features(),
-            FeatureSpace::ScaledLog => shape.log_features(),
-        };
-        let m = Matrix::from_rows(&[raw.to_vec()])?;
-        let m = match &self.scaler {
-            Some(s) => s.transform(&m)?,
-            None => m,
-        };
-        self.apply_precondition(m)
-    }
-
     fn featurise_rows(&self, ds: &PerformanceDataset, rows: &[usize]) -> Result<Matrix> {
         let m = match self.space {
             FeatureSpace::RawSizes => ds.raw_features_of(rows),
@@ -242,10 +227,30 @@ impl Selector {
         self.predict(&x)
     }
 
-    /// Select a configuration for one arbitrary shape.
+    /// Select a configuration for one arbitrary shape. The features
+    /// stay in a stack `[f64; 3]`, scaled in place exactly as a
+    /// matrix row would be, and a decision tree walks them directly: a
+    /// cache miss allocates nothing. Other models take them as a
+    /// one-row matrix.
     pub fn select_shape(&self, shape: &GemmShape) -> Result<usize> {
-        let x = self.featurise_shape(shape)?;
-        Ok(self.predict(&x)?[0])
+        let mut x = match self.space {
+            FeatureSpace::RawSizes => shape.features(),
+            FeatureSpace::ScaledLog => shape.log_features(),
+        };
+        for scaler in [&self.scaler, &self.precondition].into_iter().flatten() {
+            scaler.transform_row(&mut x)?;
+        }
+        match &self.model {
+            Model::Tree(tree) => Ok(tree.predict_one(&x)?),
+            _ => self.predict_row(&x),
+        }
+    }
+
+    // lint:allow-fn(no-alloc) the non-tree models read a matrix; the tree, the
+    // serving default, never comes here
+    fn predict_row(&self, x: &[f64]) -> Result<usize> {
+        let row = Matrix::from_vec(1, x.len(), x.to_vec())?;
+        Ok(self.predict(&row)?[0])
     }
 
     /// Select configurations for many arbitrary shapes in parallel.

@@ -9,10 +9,12 @@
 use crate::config::KernelConfig;
 use crate::kernel::TiledGemmKernel;
 use crate::model;
+use crate::name::KernelName;
 use crate::shape::GemmShape;
 use autokernel_sycl_sim::perf::KernelProfile;
 use autokernel_sycl_sim::runtime::{Buffer, NDRange, SimKernel};
 use autokernel_sycl_sim::{DeviceSpec, Result, SimError};
+use std::sync::Arc;
 
 /// `instances` independent `C_i = A_i · B_i` of one shape, one launch.
 pub struct BatchedGemmKernel {
@@ -64,13 +66,15 @@ impl BatchedGemmKernel {
 }
 
 impl SimKernel for BatchedGemmKernel {
-    fn name(&self) -> String {
-        format!(
-            "batched{}x_gemm_{}_{}",
-            self.batch(),
-            self.config,
-            self.shape
-        )
+    fn name(&self) -> Arc<str> {
+        KernelName::new()
+            .push("batched")
+            .number(self.batch())
+            .push("x_gemm_")
+            .push(self.config.label())
+            .push("_")
+            .shape(&self.shape)
+            .finish()
     }
 
     fn profile(&self, device: &DeviceSpec, _range: &NDRange) -> KernelProfile {

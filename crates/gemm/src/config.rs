@@ -38,6 +38,86 @@ const fn build_wg_pos() -> [u8; 64] {
     table
 }
 
+/// A configuration's `Display` text as bytes: at most 14
+/// (`T8x8A8_WG16x16`).
+#[derive(Clone, Copy)]
+struct Label {
+    bytes: [u8; 16],
+    len: usize,
+}
+
+impl Label {
+    const EMPTY: Label = Label {
+        bytes: [0; 16],
+        len: 0,
+    };
+
+    const fn push(mut self, byte: u8) -> Label {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+        self
+    }
+
+    /// Append `value` (below 1000) in decimal.
+    const fn number(self, value: usize) -> Label {
+        let mut label = self;
+        if value >= 100 {
+            label = label.push(b'0' + (value / 100) as u8);
+        }
+        if value >= 10 {
+            label = label.push(b'0' + (value / 10 % 10) as u8);
+        }
+        label.push(b'0' + (value % 10) as u8)
+    }
+}
+
+/// Every configuration's label ([`KernelConfig::label`]), written at
+/// compile time in [`KernelConfig::index`] order.
+static LABELS: [&str; KernelConfig::count()] = {
+    let mut labels = [""; KernelConfig::count()];
+    let mut index = 0;
+    while index < labels.len() {
+        let label = &LABEL_BYTES[index];
+        labels[index] = match std::str::from_utf8(label.bytes.split_at(label.len).0) {
+            Ok(text) => text,
+            Err(_) => panic!("labels are ASCII"),
+        };
+        index += 1;
+    }
+    labels
+};
+
+static LABEL_BYTES: [Label; KernelConfig::count()] = build_labels();
+
+const fn build_labels() -> [Label; KernelConfig::count()] {
+    let mut labels = [Label::EMPTY; KernelConfig::count()];
+    let mut index = 0;
+    while index < labels.len() {
+        // The decoding of `KernelConfig::from_index`.
+        let wg = WORK_GROUPS[index % WORK_GROUPS.len()];
+        let rest = index / WORK_GROUPS.len();
+        let ad = TILE_SIZES[rest % TILE_SIZES.len()];
+        let rest = rest / TILE_SIZES.len();
+        let tc = TILE_SIZES[rest % TILE_SIZES.len()];
+        let tr = TILE_SIZES[rest / TILE_SIZES.len()];
+        labels[index] = Label::EMPTY
+            .push(b'T')
+            .number(tr)
+            .push(b'x')
+            .number(tc)
+            .push(b'A')
+            .number(ad)
+            .push(b'_')
+            .push(b'W')
+            .push(b'G')
+            .number(wg.rows)
+            .push(b'x')
+            .number(wg.cols);
+        index += 1;
+    }
+    labels
+}
+
 /// A work-group shape (rows × cols of work-items).
 ///
 /// Rows index the M direction of the output, columns the N direction.
@@ -173,6 +253,12 @@ impl KernelConfig {
             acc_depth: TILE_SIZES[ad],
             work_group: WORK_GROUPS[wg],
         })
+    }
+
+    /// This configuration's `Display` text (`T4x8A2_WG16x16`), written
+    /// at compile time: naming a kernel formats nothing.
+    pub fn label(&self) -> &'static str {
+        LABELS.get(self.index()).copied().unwrap_or_default()
     }
 
     /// The 64 compile-time kernel variants (tile parameters only), i.e.

@@ -20,6 +20,7 @@ pub mod batched;
 pub mod config;
 pub mod kernel;
 pub mod model;
+mod name;
 pub mod reference;
 pub mod shape;
 pub mod simd;

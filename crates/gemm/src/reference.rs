@@ -1,13 +1,14 @@
 //! Reference GEMM implementations used to validate the kernel family.
 
 use crate::kernel::check_operands;
+use crate::name::KernelName;
 use crate::shape::GemmShape;
 use autokernel_sycl_sim::perf::KernelProfile;
 use autokernel_sycl_sim::runtime::{Buffer, NDRange, SimKernel};
 use autokernel_sycl_sim::{DeviceSpec, Result};
 use rayon::prelude::*;
 use std::borrow::Borrow;
-use std::fmt::Write;
+use std::sync::Arc;
 
 /// Straightforward row-major reference: `C = A · B`.
 ///
@@ -118,11 +119,11 @@ impl<B: Borrow<Buffer<f32>>> ReferenceGemmKernel<B> {
 }
 
 impl<B: Borrow<Buffer<f32>> + Send + Sync> SimKernel for ReferenceGemmKernel<B> {
-    fn name(&self) -> String {
-        // One allocation, as in `TiledGemmKernel::name`.
-        let mut name = String::with_capacity(64);
-        let _ = write!(name, "gemm_reference_{}", self.shape);
-        name
+    fn name(&self) -> Arc<str> {
+        KernelName::new()
+            .push("gemm_reference_")
+            .shape(&self.shape)
+            .finish()
     }
 
     fn profile(&self, _device: &DeviceSpec, _range: &NDRange) -> KernelProfile {

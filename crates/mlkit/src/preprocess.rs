@@ -56,11 +56,28 @@ impl StandardScaler {
         }
         let mut out = x.clone();
         for r in 0..out.rows() {
-            for ((v, m), s) in out.row_mut(r).iter_mut().zip(&self.mean).zip(&self.std) {
-                *v = (*v - m) / s;
-            }
+            self.scale(out.row_mut(r));
         }
         Ok(out)
+    }
+
+    /// Apply the learned scaling to one sample in place, the same
+    /// arithmetic [`StandardScaler::transform`] does on every row.
+    pub fn transform_row(&self, row: &mut [f64]) -> Result<()> {
+        if self.mean.is_empty() {
+            return Err(MlError::NotFitted);
+        }
+        if row.len() != self.mean.len() {
+            return Err(MlError::BadShape("transform feature count mismatch".into()));
+        }
+        self.scale(row);
+        Ok(())
+    }
+
+    fn scale(&self, row: &mut [f64]) {
+        for ((v, m), s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
+            *v = (*v - m) / s;
+        }
     }
 
     /// Fit and transform in one call.
@@ -181,6 +198,10 @@ mod tests {
         let z = s.fit_transform(&x).unwrap();
         let means = z.col_means();
         assert!(means.iter().all(|m| m.abs() < 1e-12));
+        let mut row = [3.0, 300.0];
+        s.transform_row(&mut row).unwrap();
+        assert_eq!(row, z.row(1), "one row scales exactly as the matrix");
+        assert!(s.transform_row(&mut [1.0]).is_err());
         for c in 0..2 {
             let var: f64 = z.col(c).iter().map(|v| v * v).sum::<f64>() / 3.0;
             assert!((var - 1.0).abs() < 1e-9);

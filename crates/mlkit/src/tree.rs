@@ -561,9 +561,21 @@ impl DecisionTreeClassifier {
     pub fn predict(&self, x: &Matrix) -> Result<Vec<usize>> {
         let tree = self.tree.as_ref().ok_or(MlError::NotFitted)?;
         check_features(x, tree)?;
-        Ok(x.rows_iter()
-            .map(|row| self.classes[argmax(tree.decide(row))])
-            .collect())
+        Ok(x.rows_iter().map(|row| self.classify(tree, row)).collect())
+    }
+
+    /// Predict the class label of one sample, walking the tree on the
+    /// caller's slice: no matrix and no allocation.
+    pub fn predict_one(&self, sample: &[f64]) -> Result<usize> {
+        let tree = self.tree.as_ref().ok_or(MlError::NotFitted)?;
+        if sample.len() != tree.n_features {
+            return Err(MlError::BadShape("feature count differs from fit".into()));
+        }
+        Ok(self.classify(tree, sample))
+    }
+
+    fn classify(&self, tree: &FittedTree, sample: &[f64]) -> usize {
+        self.classes[argmax(tree.decide(sample))]
     }
 
     /// Class-probability estimates (leaf class frequencies).
@@ -658,6 +670,12 @@ mod tests {
         let mut clf = DecisionTreeClassifier::new(TreeParams::default());
         clf.fit(&x, &y).unwrap();
         assert_eq!(clf.predict(&x).unwrap(), y);
+        let one: Vec<usize> = x
+            .rows_iter()
+            .map(|row| clf.predict_one(row).unwrap())
+            .collect();
+        assert_eq!(one, y, "one sample at a time agrees with the batch");
+        assert!(clf.predict_one(&[0.0]).is_err());
     }
 
     #[test]

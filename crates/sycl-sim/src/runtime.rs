@@ -169,8 +169,10 @@ impl<T: Clone + Send + Sync> Buffer<T> {
 /// checkable results) and *profile* themselves so the device model can
 /// price the launch.
 pub trait SimKernel: Send + Sync {
-    /// Human-readable kernel name (shows up in event records).
-    fn name(&self) -> String;
+    /// Human-readable kernel name (shows up in event records). Called
+    /// once per [`Queue::prepare`]: every event of the prepared launch
+    /// shares the one string.
+    fn name(&self) -> Arc<str>;
 
     /// Resource/traffic description for the device model.
     fn profile(&self, device: &DeviceSpec, range: &NDRange) -> KernelProfile;
@@ -283,16 +285,15 @@ impl Event {
 }
 
 /// A launch with every operand-independent step already done: the
-/// kernel's profile passed [`validate_launch`], and its occupancy,
-/// priced cost and duration, and name are computed. Built by
-/// [`Queue::prepare`] and consumed by [`Queue::submit_prepared`] on
+/// kernel's profile passed [`validate_launch`], and its range, priced
+/// cost (occupancy included) and duration, and name are fixed. Built
+/// by [`Queue::prepare`] and consumed by [`Queue::submit_prepared`] on
 /// the same queue, any number of times: a batch of same-shape requests
 /// prepares its kernel once and submits it once per request.
 #[derive(Debug)]
 pub struct PreparedLaunch {
     name: Arc<str>,
     range: NDRange,
-    occupancy: f64,
     cost: KernelCost,
     duration_s: f64,
 }
@@ -337,6 +338,9 @@ fn advance_clock(clock: &AtomicU64, next: impl Fn(f64) -> f64) -> f64 {
 #[derive(Clone)]
 pub struct Context {
     device: Arc<DeviceSpec>,
+    /// The device name's stable hash, folded into every launch's timing
+    /// noise; hashed once here rather than on every price.
+    device_hash: u64,
     clock_s: ClockCell,
 }
 
@@ -344,6 +348,7 @@ impl Context {
     /// Create a context for `device` with its clock at zero.
     pub fn new(device: Arc<DeviceSpec>) -> Self {
         Context {
+            device_hash: fxhash(device.name.as_bytes()),
             device,
             clock_s: Arc::new(AtomicU64::new(0.0f64.to_bits())),
         }
@@ -353,6 +358,7 @@ impl Context {
     pub fn create_queue(&self) -> Queue {
         Queue {
             device: self.device.clone(),
+            device_hash: self.device_hash,
             clock_s: self.clock_s.clone(),
             execute_host: true,
             fault_plan: None,
@@ -402,6 +408,8 @@ impl SimClock {
 #[derive(Clone)]
 pub struct Queue {
     device: Arc<DeviceSpec>,
+    /// [`Context`]'s hash of the device name.
+    device_hash: u64,
     clock_s: ClockCell,
     /// When false, kernel bodies are skipped and only timing is modelled
     /// (used for large benchmark sweeps where results are not consumed).
@@ -485,19 +493,17 @@ impl Queue {
 
     /// The operand-independent half of a submission: profile `kernel`
     /// over `range`, reject it if the device cannot launch it, and
-    /// compute its occupancy, priced duration and name. No side
-    /// effects: the clock does not move and an attached fault plan
-    /// counts no submission, so a launch `validate_launch` rejects
-    /// never reaches the plan.
+    /// compute its priced duration (the cost carries the occupancy) and
+    /// name. No side effects: the clock does not move and an attached
+    /// fault plan counts no submission, so a launch `validate_launch`
+    /// rejects never reaches the plan.
     pub fn prepare(&self, kernel: &dyn SimKernel, range: NDRange) -> Result<PreparedLaunch> {
         let profile = kernel.profile(&self.device, &range);
         validate_launch(&self.device, &profile, &range)?;
-        let occupancy = perf::occupancy(&self.device, &profile, &range);
         let (cost, duration_s) = self.price_unchecked(&profile, &range, kernel.noise_seed());
         Ok(PreparedLaunch {
-            name: kernel.name().into(),
+            name: kernel.name(),
             range,
-            occupancy,
             cost,
             duration_s,
         })
@@ -520,7 +526,7 @@ impl Queue {
     ) -> Result<Event> {
         if let Some(plan) = &self.fault_plan {
             if let Some((kind, consumed, submission)) =
-                plan.decide(&launch.name, launch.occupancy, &self.device)
+                plan.decide(&launch.name, launch.cost.occupancy, &self.device)
             {
                 // The failed launch still occupies the device: charge
                 // the consumed time to the shared clock so retries and
@@ -595,7 +601,7 @@ impl Queue {
             .wrapping_mul(0x100_0000_01b3)
             .wrapping_add(range.global_size() as u64)
             .wrapping_add((range.local()[0] as u64) << 32)
-            .wrapping_add(fxhash(self.device.name.as_bytes()));
+            .wrapping_add(self.device_hash);
         let noise = perf::deterministic_noise(seed, NOISE_AMPLITUDE);
         (cost, cost.total_s * noise)
     }
@@ -687,7 +693,7 @@ mod tests {
     }
 
     impl SimKernel for DoubleKernel {
-        fn name(&self) -> String {
+        fn name(&self) -> Arc<str> {
             "double".into()
         }
         fn profile(&self, _device: &DeviceSpec, _range: &NDRange) -> KernelProfile {
@@ -809,7 +815,7 @@ mod tests {
     struct LdsHogKernel;
 
     impl SimKernel for LdsHogKernel {
-        fn name(&self) -> String {
+        fn name(&self) -> Arc<str> {
             "lds_hog".into()
         }
         fn profile(&self, _device: &DeviceSpec, _range: &NDRange) -> KernelProfile {

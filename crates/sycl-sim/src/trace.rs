@@ -276,7 +276,7 @@ mod tests {
         buf: Buffer<f32>,
     }
     impl SimKernel for Noop {
-        fn name(&self) -> String {
+        fn name(&self) -> Arc<str> {
             "noop".into()
         }
         fn profile(&self, _d: &DeviceSpec, _r: &NDRange) -> KernelProfile {

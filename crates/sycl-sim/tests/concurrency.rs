@@ -10,7 +10,7 @@ struct AddOne {
 }
 
 impl SimKernel for AddOne {
-    fn name(&self) -> String {
+    fn name(&self) -> Arc<str> {
         "add_one".into()
     }
     fn profile(&self, _d: &DeviceSpec, _r: &NDRange) -> KernelProfile {

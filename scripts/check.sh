@@ -13,7 +13,7 @@
 #                              short run of each gated workload, a
 #                              traced run of each against the golden of
 #                              its deterministic counts and its
-#                              allocations-per-request ceiling
+#                              allocation ceilings
 #                              (scripts/perfbench_counts.sh), and the
 #                              bench-regression gate (the default, and
 #                              what CI runs)
